@@ -46,8 +46,14 @@ this differs from textbook PPSFP).  A call proceeds as:
    workloads (ATPG cross-simulation) run an interpreted block program with
    the same semantics, skipping codegen cost.
 
-Detected sets are bit-identical to both the interpreted oracle and the
-compiled backend; ``tests/test_arena.py`` holds the differential suite.
+Transient (SEU) faults take the same path with their own filter (the good
+value at the flip cycle) and sort key (flip cycle first): the interpreted
+block executor gives every lane a live window — all cycles for a stuck-at
+fault, its flip cycle for an upset — so one executor grades both models.
+
+Detected sets are bit-identical to the interpreted oracle;
+``tests/test_arena.py`` and ``tests/test_transient.py`` hold the
+differential suites.
 """
 
 from __future__ import annotations
@@ -739,52 +745,100 @@ class ArenaFaultSim:
 
     # -- interpreted block path ----------------------------------------------
 
-    def _run_interp_block(self, blk: Sequence[Fault], planes,
-                          initial_state: Optional[Mapping[int, int]],
-                          obs_set: frozenset):
-        """One-shot lane block without code generation: the same cone
+    def _run_lane_block(self, blk: Sequence[Fault],
+                        windows: Sequence[Tuple[int, int]], planes,
+                        initial_state: Optional[Mapping[int, int]],
+                        obs_set: frozenset):
+        """One lane block without code generation: the same cone
         restriction, injection, detection and early exit as the generated
         path, interpreted over a flat value list.  Used for small or
-        unrepeated workloads (ATPG cross-simulation) where per-survivor-set
-        codegen could never amortize."""
+        unrepeated workloads (ATPG cross-simulation, SEU grading) where
+        per-survivor-set codegen could never amortize.
+
+        Lane ``li`` forces its fault only during its live window
+        ``windows[li] = (first, stop)`` of cycles: every cycle for a
+        stuck-at fault, the flip cycle alone for an SEU.  Before its
+        window a lane equals the good machine, so simulation starts at the
+        block's earliest live cycle with cone flip-flops seeded from the
+        good plane of the cycle before (or ``initial_state`` at cycle 0).
+        Site masks are rebuilt only on cycles where the set of live lanes
+        changes, and only at the sites of the lanes that entered or left —
+        never after the first cycle for stuck-at blocks.
+        """
         arena = self.arena
         cone = arena.cone_of({f.net for f in blk})
         shape = self._block_shape(blk, cone, obs_set)
         lanes = shape["lanes"]
         full = (1 << lanes) - 1
-        site_lanes = shape["site_lanes"]
-        comb_out = shape["comb_out"]
         fanin, fanin_off = arena.fanin, arena.fanin_off
         gate_op, gate_out = arena.gate_op, arena.gate_out
         dff_q, dff_d = arena.dff_q, arena.dff_d
 
-        fills = []
-        for n in shape["site_order"]:
-            if n in comb_out:
-                continue
-            m1, m0 = site_lanes[n]
-            fills.append((2 * n, ~(m1 | m0), m1, m0))
+        # cycle -> lanes entering or leaving their window there.
+        ncyc = len(planes)
+        events: Dict[int, List[int]] = {}
+        for li, (first, stop) in enumerate(windows):
+            events.setdefault(first, []).append(li)
+            if stop < ncyc:
+                events.setdefault(stop, []).append(li)
+        site_lanes = shape["site_lanes"]
+
         prog = []
+        prog_at: Dict[int, int] = {}  # site net -> its gate's prog index
         for gi in shape["cone_gis"]:
             out = gate_out[gi]
+            if out in site_lanes:
+                prog_at[out] = len(prog)
             ins2 = tuple(2 * i for i in
                          fanin[fanin_off[gi]:fanin_off[gi + 1]])
-            m1, m0 = site_lanes.get(out, (0, 0))
-            em = ~(m1 | m0) if (m1 or m0) else None
-            prog.append((gate_op[gi], 2 * out, ins2, em, m1, m0))
+            prog.append((gate_op[gi], 2 * out, ins2, None))
         dffs = [(2 * dff_q[k], 2 * dff_d[k]) for k in shape["cone_dks"]]
         bound2 = [2 * n for n in shape["bound"]]
         obs2 = [2 * p for p in shape["obs"]]
 
+        cstart = min(events)
         v = [0] * (2 * arena.num_nets)
         state: Dict[int, Mask] = {}
-        for q2, _d2 in dffs:
-            if initial_state and q2 // 2 in initial_state:
-                state[q2] = (full, 0) if initial_state[q2 // 2] else (0, full)
-            else:
-                state[q2] = (0, 0)
+        if cstart > 0:
+            prev = planes[cstart - 1]
+            for q2, d2 in dffs:
+                state[q2] = (full if prev[d2] else 0,
+                             full if prev[d2 + 1] else 0)
+        else:
+            for q2, _d2 in dffs:
+                if initial_state and q2 // 2 in initial_state:
+                    state[q2] = ((full, 0) if initial_state[q2 // 2]
+                                 else (0, full))
+                else:
+                    state[q2] = (0, 0)
         det = 0
-        for plane in planes:
+        live = 0
+        fill_inj: Dict[int, Optional[Tuple[int, int, int]]] = {}
+        fills = []
+        for cycle in range(cstart, ncyc):
+            toggled = events.get(cycle)
+            if toggled is not None:
+                # Live lanes changed: rebuild the injection masks of the
+                # sites they force (fills for sources, inline masks for
+                # gate outputs).
+                for li in toggled:
+                    live ^= 1 << li
+                refill = False
+                for n in {blk[li].net for li in toggled}:
+                    m1, m0 = site_lanes[n]
+                    m1 &= live
+                    m0 &= live
+                    inj = (~(m1 | m0), m1, m0) if (m1 or m0) else None
+                    k = prog_at.get(n)
+                    if k is not None:
+                        prog[k] = prog[k][:3] + (inj,)
+                    else:
+                        fill_inj[2 * n] = inj
+                        refill = True
+                if refill:
+                    fills = [(i,) + inj for i, inj in fill_inj.items()
+                             if inj is not None]
+            plane = planes[cycle]
             for i in bound2:
                 v[i] = full if plane[i] else 0
                 v[i + 1] = full if plane[i + 1] else 0
@@ -795,7 +849,7 @@ class ArenaFaultSim:
             for i, em, m1, m0 in fills:
                 v[i] = (v[i] & em) | m1
                 v[i + 1] = (v[i + 1] & em) | m0
-            for op, o2, ins2, em, m1, m0 in prog:
+            for op, o2, ins2, inj in prog:
                 if op == OP_AND or op == OP_NAND:
                     o, z = full, 0
                     for i in ins2:
@@ -823,7 +877,8 @@ class ArenaFaultSim:
                         o, z = (o & iz) | (z & io), (o & io) | (z & iz)
                     if op == OP_XNOR:
                         o, z = z, o
-                if em is not None:
+                if inj is not None:
+                    em, m1, m0 = inj
                     o = (o & em) | m1
                     z = (z & em) | m0
                 v[o2] = o
@@ -838,76 +893,35 @@ class ArenaFaultSim:
                 break
         return det, full
 
-    # -- public entry --------------------------------------------------------
+    def _interp_blocks(self, ordered: Sequence[Fault], window, planes,
+                       initial_state: Optional[Mapping[int, int]],
+                       obs_set: frozenset, lanes: int):
+        """Run ``ordered`` in consecutive ``lanes``-wide interpreted blocks;
+        ``window(fault)`` gives each lane's live cycles."""
+        results = []
+        for start in range(0, len(ordered), lanes):
+            blk = ordered[start:start + lanes]
+            det, present = self._run_lane_block(
+                blk, [window(f) for f in blk], planes, initial_state,
+                obs_set)
+            results.append((blk, det, present))
+        return results
 
-    def detected_faults(
-        self,
-        vectors: Sequence[Vector],
-        faults: Sequence[Fault],
-        initial_state: Optional[Mapping[int, int]] = None,
-        extra_observables: Optional[Sequence[int]] = None,
-        lanes: int = 512,
-    ) -> Tuple[Set[Fault], int]:
-        """Detected subset of ``faults`` plus the number of lane blocks run.
-
-        Bit-identical to the interpreted and compiled backends for any mix
-        of X inputs, initial flip-flop state and extra observe points.
-        """
-        from repro.obs import counter
-
-        if not faults:
-            return set(), 0
-        planes, ever_o, ever_z, token = self._good_pass(vectors,
-                                                        initial_state)
-        arena = self.arena
-        obs_points: Set[int] = set(arena.pos)
+    def _observe_set(self, extra_observables: Optional[Sequence[int]]
+                     ) -> frozenset:
+        obs_points: Set[int] = set(self.arena.pos)
         if extra_observables:
             obs_points.update(extra_observables)
-        obs_set = frozenset(obs_points)
+        return frozenset(obs_points)
 
-        surv = [f for f in faults
-                if (ever_z[f.net] if f.value == 1 else ever_o[f.net])]
-        counter("fault_sim.arena.filtered_undetectable").inc(
-            len(faults) - len(surv))
+    @staticmethod
+    def _decode(results) -> Tuple[Set[Fault], int]:
+        """Detected faults from ``(blk, det, present)`` lane masks, plus
+        the block count; records the per-block ``fault_sim.arena``
+        counters."""
+        from repro.obs import counter
+
         detected: Set[Fault] = set()
-        if not surv:
-            return detected, 0
-        ordered = arena.cone_pack_order(surv)
-
-        key = (tuple(ordered), tuple(sorted(obs_set)))
-        blocks = self._blocks.get(key)
-        use_codegen = blocks is not None or (
-            len(vectors) >= _env_int("REPRO_ARENA_CODEGEN_MIN_VECTORS",
-                                     CODEGEN_MIN_VECTORS)
-            and len(ordered) >= _env_int("REPRO_ARENA_CODEGEN_MIN_FAULTS",
-                                         CODEGEN_MIN_FAULTS))
-        results = []
-        if use_codegen:
-            if blocks is None:
-                counter("fault_sim.arena.codegen_builds").inc()
-                parts = self._partition(ordered, base=max(lanes, 64))
-                blocks = [
-                    self._build_codegen_block(blk, cone, obs_set)
-                    for blk, cone, _ng in parts
-                ]
-                self._blocks[key] = blocks
-                while len(self._blocks) > 8:
-                    self._blocks.popitem(last=False)
-            else:
-                counter("fault_sim.arena.block_cache_hits").inc()
-                self._blocks.move_to_end(key)
-            for b in blocks:
-                det, present = self._run_codegen_block(b, planes, token,
-                                                       initial_state)
-                results.append((b["blk"], det, present))
-        else:
-            counter("fault_sim.arena.fallback_calls").inc()
-            for start in range(0, len(ordered), lanes):
-                blk = ordered[start:start + lanes]
-                det, present = self._run_interp_block(blk, planes,
-                                                      initial_state, obs_set)
-                results.append((blk, det, present))
-
         early = 0
         filled = 0
         for blk, det, present in results:
@@ -922,6 +936,71 @@ class ArenaFaultSim:
         counter("fault_sim.arena.lanes_filled").inc(filled)
         counter("fault_sim.arena.early_exits").inc(early)
         return detected, len(results)
+
+    # -- public entry --------------------------------------------------------
+
+    def detected_faults(
+        self,
+        vectors: Sequence[Vector],
+        faults: Sequence[Fault],
+        initial_state: Optional[Mapping[int, int]] = None,
+        extra_observables: Optional[Sequence[int]] = None,
+        lanes: int = 512,
+    ) -> Tuple[Set[Fault], int]:
+        """Detected subset of ``faults`` plus the number of lane blocks run.
+
+        Bit-identical to the interpreted oracle for any mix of X inputs,
+        initial flip-flop state and extra observe points.
+        """
+        from repro.obs import counter
+
+        if not faults:
+            return set(), 0
+        planes, ever_o, ever_z, token = self._good_pass(vectors,
+                                                        initial_state)
+        arena = self.arena
+        obs_set = self._observe_set(extra_observables)
+
+        surv = [f for f in faults
+                if (ever_z[f.net] if f.value == 1 else ever_o[f.net])]
+        counter("fault_sim.arena.filtered_undetectable").inc(
+            len(faults) - len(surv))
+        if not surv:
+            return set(), 0
+        ordered = arena.cone_pack_order(surv)
+
+        key = (tuple(ordered), tuple(sorted(obs_set)))
+        blocks = self._blocks.get(key)
+        use_codegen = blocks is not None or (
+            len(vectors) >= _env_int("REPRO_ARENA_CODEGEN_MIN_VECTORS",
+                                     CODEGEN_MIN_VECTORS)
+            and len(ordered) >= _env_int("REPRO_ARENA_CODEGEN_MIN_FAULTS",
+                                         CODEGEN_MIN_FAULTS))
+        if not use_codegen:
+            counter("fault_sim.arena.fallback_calls").inc()
+            every_cycle = (0, len(planes))
+            return self._decode(self._interp_blocks(
+                ordered, lambda f: every_cycle, planes, initial_state,
+                obs_set, lanes))
+        if blocks is None:
+            counter("fault_sim.arena.codegen_builds").inc()
+            parts = self._partition(ordered, base=max(lanes, 64))
+            blocks = [
+                self._build_codegen_block(blk, cone, obs_set)
+                for blk, cone, _ng in parts
+            ]
+            self._blocks[key] = blocks
+            while len(self._blocks) > 8:
+                self._blocks.popitem(last=False)
+        else:
+            counter("fault_sim.arena.block_cache_hits").inc()
+            self._blocks.move_to_end(key)
+        results = []
+        for b in blocks:
+            det, present = self._run_codegen_block(b, planes, token,
+                                                   initial_state)
+            results.append((b["blk"], det, present))
+        return self._decode(results)
 
     # -- transient (SEU) faults ----------------------------------------------
 
@@ -943,11 +1022,9 @@ class ArenaFaultSim:
         point, by the same monotonicity argument as the stuck-at filter,
         so only sites whose good value is binary ``1-v`` at the flip
         cycle survive) and as the boundary broadcast inside each lane
-        block.  Blocks are sorted flip-cycle first so each block starts
-        simulating at its earliest flip, with cone flip-flops seeded from
-        the good plane of the preceding cycle (faulty state equals good
-        state before the first injection).  Bit-identical to the
-        interpreted oracle.
+        block.  Survivors are sorted flip-cycle first, so each block
+        starts late and its live lanes change on few cycles.
+        Bit-identical to the interpreted oracle.
         """
         from repro.obs import counter
 
@@ -956,10 +1033,7 @@ class ArenaFaultSim:
         planes, _ever_o, _ever_z, _token = self._good_pass(vectors,
                                                            initial_state)
         arena = self.arena
-        obs_points: Set[int] = set(arena.pos)
-        if extra_observables:
-            obs_points.update(extra_observables)
-        obs_set = frozenset(obs_points)
+        obs_set = self._observe_set(extra_observables)
 
         ncyc = len(planes)
         surv: List[TransientFault] = []
@@ -972,9 +1046,8 @@ class ArenaFaultSim:
                 surv.append(f)
         counter("fault_sim.arena.filtered_undetectable").inc(
             len(faults) - len(surv))
-        detected: Set[TransientFault] = set()
         if not surv:
-            return detected, 0
+            return set(), 0
 
         rank = arena.site_rank
         nn = arena.num_nets
@@ -983,152 +1056,9 @@ class ArenaFaultSim:
             key=lambda f: (f.cycle, rank[f.net] if f.net < nn else -1,
                            f.net, f.value),
         )
-        blocks = 0
-        filled = 0
-        early = 0
-        for start in range(0, len(ordered), lanes):
-            blk = ordered[start:start + lanes]
-            det, present = self._run_interp_transient_block(
-                blk, planes, initial_state, obs_set)
-            blocks += 1
-            filled += bin(present).count("1")
-            if det == present:
-                early += 1
-            while det:
-                li = (det & -det).bit_length() - 1
-                detected.add(blk[li])
-                det &= det - 1
-        counter("fault_sim.arena.passes").inc(blocks)
-        counter("fault_sim.arena.lanes_filled").inc(filled)
-        counter("fault_sim.arena.early_exits").inc(early)
-        return detected, blocks
-
-    def _run_interp_transient_block(
-        self, blk: Sequence[TransientFault], planes,
-        initial_state: Optional[Mapping[int, int]], obs_set: frozenset,
-    ):
-        """One interpreted lane block of single-cycle upsets.
-
-        Mirrors :meth:`_run_interp_block` with the injection masks gated
-        by flip cycle: fills and gate-output overrides are only live
-        during a lane's own cycle, so the lane tracks the good machine
-        before its flip and free-runs the disturbance afterwards.  Cycles
-        before the block's earliest flip are skipped entirely — every
-        lane still equals the good machine there, so nothing can detect
-        and the state is exactly the good state.
-        """
-        arena = self.arena
-        cone = arena.cone_of({f.net for f in blk})
-        shape = self._block_shape(blk, cone, obs_set)
-        lanes = shape["lanes"]
-        full = (1 << lanes) - 1
-        comb_out = shape["comb_out"]
-        fanin, fanin_off = arena.fanin, arena.fanin_off
-        gate_op, gate_out = arena.gate_op, arena.gate_out
-        dff_q, dff_d = arena.dff_q, arena.dff_d
-
-        # cycle -> 2*net -> (force1, force0) lane masks, split by whether
-        # the site is produced by a cone gate (inline) or filled (PI, Q,
-        # boundary broadcast).
-        fill_at: Dict[int, Dict[int, Mask]] = {}
-        inj_at: Dict[int, Dict[int, Mask]] = {}
-        for li, f in enumerate(blk):
-            per = (inj_at if f.net in comb_out else fill_at).setdefault(
-                f.cycle, {})
-            m1, m0 = per.get(2 * f.net, (0, 0))
-            if f.value == 1:
-                m1 |= 1 << li
-            else:
-                m0 |= 1 << li
-            per[2 * f.net] = (m1, m0)
-
-        prog = []
-        for gi in shape["cone_gis"]:
-            ins2 = tuple(2 * i for i in
-                         fanin[fanin_off[gi]:fanin_off[gi + 1]])
-            prog.append((gate_op[gi], 2 * gate_out[gi], ins2))
-        dffs = [(2 * dff_q[k], 2 * dff_d[k]) for k in shape["cone_dks"]]
-        bound2 = [2 * n for n in shape["bound"]]
-        obs2 = [2 * p for p in shape["obs"]]
-
-        cstart = blk[0].cycle  # blocks are flip-cycle sorted
-        v = [0] * (2 * arena.num_nets)
-        state: Dict[int, Mask] = {}
-        if cstart > 0:
-            prev = planes[cstart - 1]
-            for q2, d2 in dffs:
-                state[q2] = (full if prev[d2] else 0,
-                             full if prev[d2 + 1] else 0)
-        else:
-            for q2, _d2 in dffs:
-                if initial_state and q2 // 2 in initial_state:
-                    state[q2] = ((full, 0) if initial_state[q2 // 2]
-                                 else (0, full))
-                else:
-                    state[q2] = (0, 0)
-        det = 0
-        for cycle in range(cstart, len(planes)):
-            plane = planes[cycle]
-            fills = fill_at.get(cycle)
-            injs = inj_at.get(cycle)
-            for i in bound2:
-                v[i] = full if plane[i] else 0
-                v[i + 1] = full if plane[i + 1] else 0
-            for q2, _d2 in dffs:
-                o, z = state[q2]
-                v[q2] = o
-                v[q2 + 1] = z
-            if fills:
-                for i, (m1, m0) in fills.items():
-                    em = ~(m1 | m0)
-                    v[i] = (v[i] & em) | m1
-                    v[i + 1] = (v[i + 1] & em) | m0
-            for op, o2, ins2 in prog:
-                if op == OP_AND or op == OP_NAND:
-                    o, z = full, 0
-                    for i in ins2:
-                        o &= v[i]
-                        z |= v[i + 1]
-                    if op == OP_NAND:
-                        o, z = z, o
-                elif op == OP_OR or op == OP_NOR:
-                    o, z = 0, full
-                    for i in ins2:
-                        o |= v[i]
-                        z &= v[i + 1]
-                    if op == OP_NOR:
-                        o, z = z, o
-                elif op == OP_NOT:
-                    o = v[ins2[0] + 1]
-                    z = v[ins2[0]]
-                elif op == OP_BUF:
-                    o = v[ins2[0]]
-                    z = v[ins2[0] + 1]
-                else:  # XOR / XNOR n-ary fold
-                    o, z = 0, full
-                    for i in ins2:
-                        io, iz = v[i], v[i + 1]
-                        o, z = (o & iz) | (z & io), (o & io) | (z & iz)
-                    if op == OP_XNOR:
-                        o, z = z, o
-                if injs is not None:
-                    m = injs.get(o2)
-                    if m is not None:
-                        m1, m0 = m
-                        em = ~(m1 | m0)
-                        o = (o & em) | m1
-                        z = (z & em) | m0
-                v[o2] = o
-                v[o2 + 1] = z
-            for i in obs2:
-                if plane[i]:
-                    det |= v[i + 1]
-                elif plane[i + 1]:
-                    det |= v[i]
-            state = {q2: (v[d2], v[d2 + 1]) for q2, d2 in dffs}
-            if det == full:
-                break
-        return det, full
+        return self._decode(self._interp_blocks(
+            ordered, lambda f: (f.cycle, f.cycle + 1), planes,
+            initial_state, obs_set, lanes))
 
 
 _SIMS: "WeakKeyDictionary[NetlistArena, ArenaFaultSim]" = WeakKeyDictionary()

@@ -1,4 +1,4 @@
-"""Compiled-code simulation backend.
+"""Compiled good-machine evaluation and simulation-backend selection.
 
 Instead of interpreting the gate list with per-gate dict lookups, this module
 code-generates one specialized straight-line Python function per netlist:
@@ -7,22 +7,13 @@ masks), gate operations are inlined in levelized topological order, and the
 results are flushed into a flat list ``V`` (``V[2n]`` = ones, ``V[2n+1]`` =
 zeros of net *n*).  The generated code is chunked into functions of bounded
 size so CPython's compiler stays fast, built once per :class:`Netlist` and
-cached (:func:`get_compiled`).
-
-On top of the compiled good machine, :func:`compiled_detected_faults`
-implements cone-partitioned lane-parallel fault simulation: faults are sorted
-by the topological position of their site and packed into blocks; each block
-evaluates only the union of its faults' fanout cones (computed with one
-multi-source BFS over sequential fanout), fed by a single shared good-machine
-pass per cycle.  Fault-injection masks are fused into the per-instruction
-program, applied only at the sites a lane actually forces, and a block stops
-simulating as soon as every lane has detected.
+cached (:func:`get_compiled`).  :class:`~repro.atpg.simulator.LogicSimulator`
+and the arena fault simulator's good-machine pass both run this code.
 
 Backend selection: ``backend="arena"`` (default, see
-:mod:`repro.atpg.arena`), ``"compiled"`` or ``"interpreted"``; the
-environment variable ``REPRO_SIM_BACKEND`` overrides the default.  The
-compiled and interpreted paths are kept unchanged as differential oracles:
-all three backends produce bit-identical detected sets.
+:mod:`repro.atpg.arena`) or ``"interpreted"`` (the reference oracle); the
+environment variable ``REPRO_SIM_BACKEND`` overrides the default.  Both
+backends produce bit-identical values and detected sets.
 """
 
 from __future__ import annotations
@@ -33,11 +24,10 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
 from weakref import WeakKeyDictionary
 
 from repro.synth.netlist import Gate, GateType, Netlist
-from repro.atpg.faults import Fault
 
 Mask = Tuple[int, int]
 
-BACKENDS = ("arena", "compiled", "interpreted")
+BACKENDS = ("arena", "interpreted")
 
 # Gates per generated function: bounds CPython compile time per chunk while
 # keeping the per-call dispatch overhead negligible.
@@ -200,8 +190,7 @@ class NetValues(Mapping[int, Mask]):
 
 
 class CompiledNetlist:
-    """Code-generated evaluator for one netlist, plus the cone/topology
-    indexes the compiled fault simulator needs.  Build once (via
+    """Code-generated evaluator for one netlist.  Build once (via
     :func:`get_compiled`), reuse for every simulation over the netlist."""
 
     def __init__(self, netlist: Netlist):
@@ -210,19 +199,9 @@ class CompiledNetlist:
         topo = netlist.topological_order()
         level = netlist.levels(topo)
         self.order: List[Gate] = sorted(topo, key=lambda g: level[g.output])
-        self.dffs: List[Gate] = netlist.dffs()
         self.pis: List[int] = list(netlist.pis)
-        self.pi_set: Set[int] = set(netlist.pis)
-        # Position in the *depth-first* topological order (not the levelized
-        # one): DFS visits each output cone contiguously, so faults sorted by
-        # this rank share fanout cones and block unions stay small.  PIs sort
-        # before all gates.
-        self.site_rank: Dict[int, int] = {
-            g.output: i for i, g in enumerate(topo)
-        }
         self._chunks = _codegen_chunks(self.order, netlist.name,
                                        num_nets=self.num_nets)
-        self._adjacency: Optional[Dict[int, List[int]]] = None
         self._fingerprint = self._current_fingerprint()
 
     def _current_fingerprint(self) -> Tuple[int, int, int, int]:
@@ -248,26 +227,6 @@ class CompiledNetlist:
         for chunk in self._chunks:
             chunk(values, full)
 
-    # -- fanout cones -------------------------------------------------------
-
-    def adjacency(self) -> Dict[int, List[int]]:
-        if self._adjacency is None:
-            self._adjacency = self.netlist.fanout_adjacency(through_dffs=True)
-        return self._adjacency
-
-    def cone_of(self, sites) -> Set[int]:
-        """Union sequential fanout cone of ``sites`` (multi-source BFS)."""
-        adj = self.adjacency()
-        seen: Set[int] = set(sites)
-        stack = list(seen)
-        while stack:
-            net = stack.pop()
-            for down in adj.get(net, ()):
-                if down not in seen:
-                    seen.add(down)
-                    stack.append(down)
-        return seen
-
 
 _CACHE: "WeakKeyDictionary[Netlist, CompiledNetlist]" = WeakKeyDictionary()
 
@@ -279,336 +238,3 @@ def get_compiled(netlist: Netlist) -> CompiledNetlist:
         cached = CompiledNetlist(netlist)
         _CACHE[netlist] = cached
     return cached
-
-
-# -- cone-partitioned fault simulation ---------------------------------------
-
-# Specialized opcodes: the two-input forms dominate synthesized netlists, so
-# they get their own branches; n-ary forms fold over a slot tuple.
-(_OP_BUF, _OP_NOT, _OP_AND2, _OP_NAND2, _OP_OR2, _OP_NOR2, _OP_XOR2,
- _OP_XNOR2, _OP_ANDN, _OP_NANDN, _OP_ORN, _OP_NORN, _OP_XORN,
- _OP_XNORN) = range(14)
-
-_OP2 = {
-    GateType.AND: _OP_AND2, GateType.NAND: _OP_NAND2,
-    GateType.OR: _OP_OR2, GateType.NOR: _OP_NOR2,
-    GateType.XOR: _OP_XOR2, GateType.XNOR: _OP_XNOR2,
-}
-_OPN = {
-    GateType.AND: _OP_ANDN, GateType.NAND: _OP_NANDN,
-    GateType.OR: _OP_ORN, GateType.NOR: _OP_NORN,
-    GateType.XOR: _OP_XORN, GateType.XNOR: _OP_XNORN,
-}
-# Degenerate single-input forms (masks are bounded by ``full`` inside a
-# block, so the identity-element fold reduces to a buffer or inverter).
-_NONINVERTING = (GateType.AND, GateType.OR, GateType.XOR, GateType.BUF)
-
-
-class _ConeBlock:
-    """One fault block: a lane-parallel machine over the union fanout cone.
-
-    Lane 0 replicates the good machine (fills broadcast the shared good
-    values), lanes 1..k carry one fault each.  Slots are dense indices into
-    the block-local ``lo``/``lz`` mask lists — only nets the cone actually
-    touches get one.
-    """
-
-    __slots__ = ("faults", "full", "all_lanes", "prog", "fill_bound",
-                 "fill_pi", "dff_edges", "obs", "state", "lo", "lz",
-                 "detected_mask", "alive")
-
-    def __init__(self, cn: CompiledNetlist, faults: Sequence[Fault],
-                 observe_points: Sequence[int],
-                 initial_state: Optional[Mapping[int, int]]):
-        self.faults = list(faults)
-        width = len(self.faults) + 1
-        self.full = (1 << width) - 1
-        self.all_lanes = self.full & ~1
-        self.detected_mask = 0
-        self.alive = True
-
-        force1: Dict[int, int] = {}
-        force0: Dict[int, int] = {}
-        for lane, fault in enumerate(self.faults, start=1):
-            if fault.value == 1:
-                force1[fault.net] = force1.get(fault.net, 0) | (1 << lane)
-            else:
-                force0[fault.net] = force0.get(fault.net, 0) | (1 << lane)
-
-        cone = cn.cone_of({f.net for f in self.faults})
-        cone_gates = [g for g in cn.order if g.output in cone]
-        cone_dffs = [d for d in cn.dffs if d.output in cone]
-
-        # Slot allocation happens before any fill/program construction so
-        # every observed or state-fed net in the cone is guaranteed a slot
-        # (in particular flip-flop Q nets that are primary outputs).
-        slot: Dict[int, int] = {}
-
-        def sid(net: int) -> int:
-            s = slot.get(net)
-            if s is None:
-                s = slot[net] = len(slot)
-            return s
-
-        for gate in cone_gates:
-            for inp in gate.inputs:
-                sid(inp)
-            sid(gate.output)
-        for dff in cone_dffs:
-            sid(dff.output)
-            sid(dff.inputs[0])
-        self.obs: List[int] = [sid(p) for p in observe_points if p in cone]
-
-        computed = {g.output for g in cone_gates}
-        cone_qs = {d.output for d in cone_dffs}
-        # Sources: cone PIs take the vector value (with injection); cone
-        # flip-flops take block state (with injection); everything else —
-        # boundary nets, constants, out-of-cone state — broadcasts the
-        # shared good-machine value across all lanes.
-        self.fill_pi: List[Tuple[int, int, int, int]] = []
-        self.fill_bound: List[Tuple[int, int]] = []
-        for net, s in slot.items():
-            if net in computed or net in cone_qs:
-                continue
-            if net in cn.pi_set and net in cone:
-                self.fill_pi.append(
-                    (s, net, force1.get(net, 0), force0.get(net, 0))
-                )
-            else:
-                self.fill_bound.append((s, 2 * net))
-
-        self.dff_edges: List[Tuple[int, int, int, int]] = []
-        self.state: List[Mask] = []
-        for dff in cone_dffs:
-            self.dff_edges.append((
-                slot[dff.output], slot[dff.inputs[0]],
-                force1.get(dff.output, 0), force0.get(dff.output, 0),
-            ))
-            if initial_state and dff.output in initial_state:
-                self.state.append(
-                    (self.full, 0) if initial_state[dff.output]
-                    else (0, self.full)
-                )
-            else:
-                self.state.append((0, 0))
-
-        prog = []
-        for gate in cone_gates:
-            ins = gate.inputs
-            t = gate.type
-            f1 = force1.get(gate.output, 0)
-            f0 = force0.get(gate.output, 0)
-            out_s = slot[gate.output]
-            if t is GateType.BUF or (len(ins) == 1 and t in _NONINVERTING):
-                entry = (_OP_BUF, out_s, slot[ins[0]], 0, f1, f0)
-            elif t is GateType.NOT or len(ins) == 1:
-                entry = (_OP_NOT, out_s, slot[ins[0]], 0, f1, f0)
-            elif len(ins) == 2:
-                entry = (_OP2[t], out_s, slot[ins[0]], slot[ins[1]], f1, f0)
-            else:
-                entry = (_OPN[t], out_s,
-                         tuple(slot[i] for i in ins), 0, f1, f0)
-            prog.append(entry)
-        self.prog = prog
-        self.lo = [0] * len(slot)
-        self.lz = [0] * len(slot)
-
-    def cycle(self, good: List[int], vec: Mapping[int, int]) -> None:
-        """Advance the block one clock against the good-machine values."""
-        lo, lz, full = self.lo, self.lz, self.full
-        for s, vi in self.fill_bound:
-            lo[s] = full if good[vi] else 0
-            lz[s] = full if good[vi + 1] else 0
-        for s, pi, f1, f0 in self.fill_pi:
-            bit = vec.get(pi)
-            if bit is None:
-                o = z = 0
-            elif bit:
-                o, z = full, 0
-            else:
-                o, z = 0, full
-            if f1:
-                o |= f1
-                z &= ~f1
-            if f0:
-                z |= f0
-                o &= ~f0
-            lo[s] = o
-            lz[s] = z
-        for i, (qs, _ds, f1, f0) in enumerate(self.dff_edges):
-            o, z = self.state[i]
-            if f1:
-                o |= f1
-                z &= ~f1
-            if f0:
-                z |= f0
-                o &= ~f0
-            lo[qs] = o
-            lz[qs] = z
-
-        for op, out, a, b, f1, f0 in self.prog:
-            if op == _OP_AND2:
-                o = lo[a] & lo[b]
-                z = lz[a] | lz[b]
-            elif op == _OP_OR2:
-                o = lo[a] | lo[b]
-                z = lz[a] & lz[b]
-            elif op == _OP_NOT:
-                o = lz[a]
-                z = lo[a]
-            elif op == _OP_BUF:
-                o = lo[a]
-                z = lz[a]
-            elif op == _OP_XOR2 or op == _OP_XNOR2:
-                ao, az, bo, bz = lo[a], lz[a], lo[b], lz[b]
-                o = (ao & bz) | (az & bo)
-                z = (ao & bo) | (az & bz)
-                if op == _OP_XNOR2:
-                    o, z = z, o
-            elif op == _OP_NAND2:
-                o = lz[a] | lz[b]
-                z = lo[a] & lo[b]
-            elif op == _OP_NOR2:
-                o = lz[a] & lz[b]
-                z = lo[a] | lo[b]
-            elif op == _OP_ANDN or op == _OP_NANDN:
-                o, z = full, 0
-                for s in a:
-                    o &= lo[s]
-                    z |= lz[s]
-                if op == _OP_NANDN:
-                    o, z = z, o
-            elif op == _OP_ORN or op == _OP_NORN:
-                o, z = 0, full
-                for s in a:
-                    o |= lo[s]
-                    z &= lz[s]
-                if op == _OP_NORN:
-                    o, z = z, o
-            else:  # _OP_XORN / _OP_XNORN
-                o, z = 0, full
-                for s in a:
-                    so, sz = lo[s], lz[s]
-                    o, z = (o & sz) | (z & so), (o & so) | (z & sz)
-                if op == _OP_XNORN:
-                    o, z = z, o
-            if f1:
-                o |= f1
-                z &= ~f1
-            if f0:
-                z |= f0
-                o &= ~f0
-            lo[out] = o
-            lz[out] = z
-
-        det = self.detected_mask
-        for s in self.obs:
-            o, z = lo[s], lz[s]
-            if o & 1:  # good machine observes 1
-                det |= z & ~1
-            elif z & 1:  # good machine observes 0
-                det |= o & ~1
-        self.detected_mask = det
-        self.state = [(lo[ds], lz[ds]) for _qs, ds, _f1, _f0 in self.dff_edges]
-        if det & self.all_lanes == self.all_lanes:
-            self.alive = False  # every lane detected: early exit
-
-    def detected(self) -> Set[Fault]:
-        out: Set[Fault] = set()
-        mask = self.detected_mask
-        for lane, fault in enumerate(self.faults, start=1):
-            if mask & (1 << lane):
-                out.add(fault)
-        return out
-
-
-def site_rank_map(netlist: Netlist) -> Dict[int, int]:
-    """DFS-topological rank of every gate output net.
-
-    The same ordering :class:`CompiledNetlist` caches as ``site_rank``,
-    computable without triggering code generation — fault-parallel shard
-    packing uses it under either simulation backend.  Nets without a rank
-    (primary inputs) sort first in :func:`cone_pack_order`.
-    """
-    return {g.output: i for i, g in enumerate(netlist.topological_order())}
-
-
-def cone_pack_order(faults: Sequence[Fault],
-                    rank: Mapping[int, int]) -> List[Fault]:
-    """Faults sorted so neighbours share fanout cones.
-
-    DFS visits each output cone contiguously, so consecutive faults in
-    this order have heavily overlapping cones: lane blocks stay cheap and
-    fault-parallel shards inherit the same locality.
-    """
-    return sorted(faults, key=lambda f: (rank.get(f.net, -1), f.net,
-                                         f.value))
-
-
-def compiled_detected_faults(
-    cn: CompiledNetlist,
-    vectors: Sequence[Mapping[int, int]],
-    faults: Sequence[Fault],
-    initial_state: Optional[Mapping[int, int]],
-    extra_observables: Optional[Sequence[int]],
-    lanes: int,
-) -> Tuple[Set[Fault], int]:
-    """Cone-partitioned detection; returns ``(detected, num_blocks)``.
-
-    Results are independent of the partitioning (lanes never interact), so
-    this matches the interpreted full-netlist simulation bit for bit.
-    """
-    if not faults:
-        return set(), 0
-    observe_points = list(cn.netlist.pos)
-    if extra_observables:
-        observe_points.extend(extra_observables)
-
-    # Sorting by site position clusters faults with overlapping cones, which
-    # keeps each block's union cone (and hence its work) small.
-    ordered = cone_pack_order(faults, cn.site_rank)
-    block_size = lanes - 1
-    blocks = [
-        _ConeBlock(cn, ordered[i:i + block_size], observe_points,
-                   initial_state)
-        for i in range(0, len(ordered), block_size)
-    ]
-
-    good_state: Dict[int, Mask] = {d.output: (0, 0) for d in cn.dffs}
-    if initial_state:
-        for q, bit in initial_state.items():
-            good_state[q] = (1, 0) if bit else (0, 1)
-
-    values = cn.fresh_values(1)
-    pis, dffs = cn.pis, cn.dffs
-    for vec in vectors:
-        live = [b for b in blocks if b.alive]
-        if not live:
-            break
-        for pi in pis:
-            bit = vec.get(pi)
-            i = 2 * pi
-            if bit is None:
-                values[i] = values[i + 1] = 0
-            elif bit:
-                values[i] = 1
-                values[i + 1] = 0
-            else:
-                values[i] = 0
-                values[i + 1] = 1
-        for dff in dffs:
-            o, z = good_state.get(dff.output, (0, 0))
-            i = 2 * dff.output
-            values[i] = o
-            values[i + 1] = z
-        cn.eval_into(values, 1)
-        for block in live:
-            block.cycle(values, vec)
-        for dff in dffs:
-            i = 2 * dff.inputs[0]
-            good_state[dff.output] = (values[i], values[i + 1])
-
-    detected: Set[Fault] = set()
-    for block in blocks:
-        detected |= block.detected()
-    return detected, len(blocks)

@@ -8,6 +8,10 @@ differs (binary vs binary) between its lane and the good lane at any cycle.
 Flip-flops start at X, so every fault must be excited through a genuine
 initialisation sequence — the same discipline a commercial sequential fault
 simulator enforces.
+
+Two backends grade every fault: the default ``arena`` engine of
+:mod:`repro.atpg.arena` and the ``interpreted`` reference oracle defined
+here, which walks the full flat gate list per lane block.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ import os
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
-from repro.atpg.compiled import (compiled_detected_faults, cone_pack_order,
-                                 get_compiled, resolve_backend,
-                                 site_rank_map)
+from repro.atpg.compiled import resolve_backend
 from repro.atpg.faults import Fault, TransientFault
 
 Vector = Mapping[int, int]  # PI net -> 0 or 1 (missing = X)
@@ -103,10 +105,9 @@ class FaultSimulator:
     simulation of :mod:`repro.atpg.arena`: one memoized good-machine pass,
     a provably-exact undetectability filter, and cone-partitioned lane
     blocks (generated or interpreted depending on workload size).
-    ``backend="compiled"`` runs the cone-partitioned simulation of
-    :mod:`repro.atpg.compiled`; ``backend="interpreted"`` walks the full
-    flat gate list per block — slowest, kept as the reference oracle.
-    Detected-fault sets are bit-identical across all three.
+    ``backend="interpreted"`` walks the full flat gate list per block —
+    slowest, kept as the reference oracle.  Detected-fault sets are
+    bit-identical across both.
 
     ``arena`` optionally supplies a pre-built (possibly unpickled)
     :class:`~repro.atpg.arena.NetlistArena` so workers skip re-deriving
@@ -121,7 +122,6 @@ class FaultSimulator:
         self.lanes = lanes
         self.backend = resolve_backend(backend)
         self._dffs = netlist.dffs()
-        self._compiled = None
         self._arena_sim = None
         self._flat = []
         if self.backend == "arena":
@@ -129,8 +129,6 @@ class FaultSimulator:
 
             self._arena_sim = get_arena_sim(
                 arena if arena is not None else get_arena(netlist))
-        elif self.backend == "compiled":
-            self._compiled = get_compiled(netlist)
         else:
             # Pre-extract (type, output, inputs) for the hot loop.
             self._flat = [(g.type, g.output, g.inputs)
@@ -163,11 +161,6 @@ class FaultSimulator:
                 found, nblk = self._arena_sim.detected_faults(
                     vectors, stuck, initial_state=initial_state,
                     extra_observables=extra_observables, lanes=self.lanes,
-                )
-            elif self._compiled is not None:
-                found, nblk = compiled_detected_faults(
-                    self._compiled, vectors, stuck, initial_state,
-                    extra_observables, self.lanes,
                 )
             else:
                 found = set()
@@ -324,18 +317,15 @@ class FaultSimulator:
                            ) -> Tuple[Set[TransientFault], int]:
         """Dispatch transient faults to the backend-appropriate path.
 
-        The arena backend gets its own word-parallel implementation with
-        the good-plane pre-filter; compiled and interpreted both run the
-        flat cycle-gated lane loop below (the compiled cone partitioning
-        gains nothing on one-shot transient populations), which keeps the
-        interpreted oracle and the compiled backend trivially identical.
+        The arena backend grades them with the good-plane pre-filter and
+        its cone-restricted lane blocks; the interpreted oracle runs the
+        flat cycle-gated lane loop below.
         """
         if self._arena_sim is not None:
             return self._arena_sim.detected_transients(
                 vectors, transients, initial_state=initial_state,
                 extra_observables=extra_observables, lanes=self.lanes,
             )
-        self._ensure_flat()
         detected: Set[TransientFault] = set()
         block_size = self.lanes - 1
         blocks = 0
@@ -345,11 +335,6 @@ class FaultSimulator:
             detected |= self._simulate_transient_block(
                 vectors, block, initial_state, extra_observables)
         return detected, blocks
-
-    def _ensure_flat(self) -> None:
-        if not self._flat:
-            self._flat = [(g.type, g.output, g.inputs)
-                          for g in self.netlist.topological_order()]
 
     def _simulate_transient_block(
         self, vectors: Sequence[Vector],
@@ -483,9 +468,9 @@ class FaultSimulator:
 # One netlist, one vector sequence, a fault list too big for one core:
 # chunk the cone-packed fault list across a fork pool of FaultSimulators.
 # Lanes never interact, so the union of the chunk detections is exactly the
-# serial detected set.  Workers inherit the netlist (and any compiled code
-# already built in the parent) through fork's address-space copy — nothing
-# is pickled on the way in, only the detected Fault lists on the way out.
+# serial detected set.  Workers inherit the netlist and its arena through
+# fork's address-space copy — nothing is pickled on the way in, only the
+# detected Fault lists on the way out.
 
 _POOL_STATE: Dict[str, object] = {}
 
@@ -548,16 +533,14 @@ def parallel_detected_faults(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # Build the arena once, pre-fork: every worker inherits the flat
-    # picklable encoding by address-space copy instead of re-deriving
-    # topological orders and adjacency from the netlist object graph.
-    arena = None
-    if resolve_backend(backend) == "arena":
-        from repro.atpg.arena import get_arena
+    from repro.atpg.arena import get_arena
 
-        arena = get_arena(netlist)
-
-    ordered = cone_pack_order(faults, site_rank_map(netlist))
+    backend = resolve_backend(backend)  # fail before forking, not in workers
+    # Build the arena once, pre-fork: it supplies the cone-pack order, and
+    # every worker inherits the flat encoding by address-space copy instead
+    # of re-deriving topological orders and adjacency from the netlist.
+    arena = get_arena(netlist)
+    ordered = arena.cone_pack_order(faults)
     chunk = (len(ordered) + workers - 1) // workers
     chunks = [ordered[lo:lo + chunk] for lo in range(0, len(ordered), chunk)]
     _pool_init(netlist, vectors, initial_state, extra_observables, lanes,

@@ -44,8 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.obs import MetricsRegistry, Span, counter, gauge, get_registry, \
     histogram, progress, set_reporter, wall_clock
 from repro.obs.trace import TraceContext
-from repro.atpg.compiled import (cone_pack_order, resolve_backend,
-                                 site_rank_map)
+from repro.atpg.arena import NetlistArena, get_arena
 from repro.atpg.engine import PodemCommitState, SequentialAtpg
 from repro.atpg.faults import Fault
 
@@ -62,7 +61,7 @@ _MAX_REQUEUES = 2
 _POLL_S = 0.5
 
 
-def shard_faults(faults: List[Fault], rank: Dict[int, int],
+def shard_faults(faults: List[Fault], arena: NetlistArena,
                  jobs: int) -> List[List[Fault]]:
     """Cone-packed fault list chopped into work-stealing shards.
 
@@ -71,7 +70,7 @@ def shard_faults(faults: List[Fault], rank: Dict[int, int],
     dispatched), large shards amortize dispatch.  ~16 shards per worker
     keeps the tail short without flooding the pipes.
     """
-    ordered = cone_pack_order(faults, rank)
+    ordered = arena.cone_pack_order(faults)
     size = max(4, min(64, len(ordered) // max(1, jobs * 16)))
     return [ordered[i:i + size] for i in range(0, len(ordered), size)]
 
@@ -136,8 +135,8 @@ class _Coordinator:
         self.jobs = jobs
         self.parent_span = parent_span
         pending = [f for f in commit.faults if f in commit.remaining]
-        rank = site_rank_map(seq.netlist)
-        self.shards: List[List[Fault]] = shard_faults(pending, rank, jobs)
+        self.shards: List[List[Fault]] = shard_faults(
+            pending, get_arena(seq.netlist), jobs)
         self.initial_shards = len(self.shards)
         self.assigned: List[deque] = [deque() for _ in range(jobs)]
         for sid in range(len(self.shards)):
@@ -428,13 +427,8 @@ def run_parallel_podem(seq: SequentialAtpg, commit: PodemCommitState,
     # them copy-on-write instead of rebuilding per process.
     for frames in seq.options.schedule():
         seq.model(frames)
-    # Likewise the netlist arena: cross-simulation inside each worker runs
-    # on the arena backend by default, and the flat picklable encoding is
-    # cheap to inherit but wasteful to re-derive per fork.
-    if resolve_backend(seq.options.fault_sim_backend) == "arena":
-        from repro.atpg.arena import get_arena
-
-        get_arena(seq.netlist)
+    # The coordinator builds the netlist arena for its shard order, also
+    # pre-fork, so arena cross-simulation in the workers inherits it.
     coordinator = _Coordinator(seq, commit, jobs, parent_span)
     if not coordinator.shards:
         return

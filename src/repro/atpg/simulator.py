@@ -5,6 +5,10 @@ patterns is a pair of Python-int masks ``(ones, zeros)`` where bit *i* of
 ``ones`` means pattern *i* sees logic 1 and bit *i* of ``zeros`` logic 0.
 A bit set in neither mask is X.  This single representation serves both
 plain multi-pattern simulation and the parallel-fault simulator built on top.
+
+Under the default ``arena`` backend the per-cycle evaluation runs the code
+generated per netlist by :mod:`repro.atpg.compiled`; the ``interpreted``
+backend walks the gate list through :func:`eval_gate`.
 """
 
 from __future__ import annotations
@@ -59,10 +63,10 @@ class LogicSimulator:
     sequence must be applied to initialise it, exactly the situation a
     sequential ATPG tool faces.
 
-    ``backend`` selects the evaluation strategy: ``"arena"`` (default) and
-    ``"compiled"`` both run code generated per netlist by
-    :mod:`repro.atpg.compiled` (the arena's good machine *is* that code),
-    ``"interpreted"`` walks the gate list — all produce identical values.
+    ``backend`` selects the evaluation strategy: ``"arena"`` (default) runs
+    code generated per netlist by :mod:`repro.atpg.compiled` (the arena
+    fault simulator's good machine *is* that code), ``"interpreted"`` walks
+    the gate list — both produce identical values.
     """
 
     def __init__(self, netlist: Netlist, width: int = 1,
@@ -72,7 +76,7 @@ class LogicSimulator:
         self.full = (1 << width) - 1
         self.backend = resolve_backend(backend)
         self._dffs = netlist.dffs()
-        if self.backend in ("arena", "compiled"):
+        if self.backend == "arena":
             self._compiled = get_compiled(netlist)
             self._order = self._compiled.order
         else:

@@ -4,14 +4,13 @@ Two differential benchmark suites, each timed with the observability CPU
 clock and written as a ``BENCH_*.json`` payload next to the table output:
 
 - **fault_sim** — the same (vectors, faults) workload through the
-  interpreted reference simulator, the compiled/cone-partitioned
-  backend and the arena lane-block backend.  The detected sets must be
-  identical across all three; the row records CPU times and throughput
-  ratios (``speedup_x`` interpreted/compiled, ``arena_x``
-  compiled/arena).  With ``--jobs > 1`` an extra row partitions the
-  fault list across a process pool and checks the union of the chunk
-  detections against the serial run — when the pool helper declines to
-  fork (too few cores, faults or gates) the row is labelled
+  interpreted reference simulator and the arena lane-block backend.
+  The detected sets must be identical; the row records CPU times,
+  throughput and the ratio ``arena_x`` (interpreted/arena).  With
+  ``--jobs > 1`` an extra row partitions the fault list across a
+  process pool and checks the union of the chunk detections against
+  the serial run — when the pool helper declines to fork (too few
+  cores, faults or gates) the row is labelled
   ``serial-fallback(j=N)`` and carries the exact reason, so a
   ``parallel`` label always means a real pool ran.
 - **atpg** — one deterministic small ATPG configuration run with each
@@ -108,7 +107,7 @@ def _kfvs(faults: int, vectors: int, seconds: float) -> float:
 
 def fault_sim_rows(quick: bool = False, seed: int = 2002,
                    jobs: Optional[int] = None) -> List[Dict[str, object]]:
-    """Differential interpreted/compiled/arena fault simulation rows."""
+    """Differential interpreted/arena fault simulation rows."""
     designs = ["arm_alu"] if quick else ["arm_alu", "arm2"]
     count = 8 if quick else 16
     jobs = resolve_jobs(jobs)
@@ -120,28 +119,22 @@ def fault_sim_rows(quick: bool = False, seed: int = 2002,
         repeats = 1 if quick else 2
         interp, interp_s = _timed_detect(netlist, "interpreted",
                                          vectors, faults, repeats)
-        compiled, compiled_s = _timed_detect(netlist, "compiled",
-                                             vectors, faults, repeats)
         arena, arena_s = _timed_detect(netlist, "arena",
                                        vectors, faults, repeats)
-        match = interp == compiled == arena
+        match = interp == arena
         if not match:
             _LOG.error("fault_sim.mismatch", design=name,
-                       interpreted=len(interp), compiled=len(compiled),
-                       arena=len(arena))
+                       interpreted=len(interp), arena=len(arena))
         rows.append({
             "design": name,
             "mode": "serial",
             "faults": len(faults),
             "vectors": count,
             "interp_s": round(interp_s, 3),
-            "compiled_s": round(compiled_s, 3),
             "arena_s": round(arena_s, 3),
             "interp_kfv_s": round(_kfvs(len(faults), count, interp_s), 1),
-            "compiled_kfv_s": round(_kfvs(len(faults), count, compiled_s), 1),
             "arena_kfv_s": round(_kfvs(len(faults), count, arena_s), 1),
-            "speedup_x": round(interp_s / max(compiled_s, 1e-9), 2),
-            "arena_x": round(compiled_s / max(arena_s, 1e-9), 2),
+            "arena_x": round(interp_s / max(arena_s, 1e-9), 2),
             "detected": len(arena),
             "match": match,
         })
@@ -298,7 +291,7 @@ def atpg_rows(quick: bool = False, seed: int = 2002,
     )
     rows: List[Dict[str, object]] = []
     reports = {}
-    for backend in ("interpreted", "compiled", "arena"):
+    for backend in ("interpreted", "arena"):
         engine = AtpgEngine(netlist, AtpgOptions(
             fault_sim_backend=backend, **opts))
         with span("bench.atpg", backend=backend) as sp:
@@ -313,14 +306,11 @@ def atpg_rows(quick: bool = False, seed: int = 2002,
             "vectors": report.num_vectors,
             "cpu_s": round(sp.cpu_seconds, 3),
         })
-    a = reports["interpreted"]
-    match = all(
-        a.coverage_percent == b.coverage_percent
-        and a.efficiency_percent == b.efficiency_percent
-        and a.detected == b.detected
-        and a.num_vectors == b.num_vectors
-        for b in (reports["compiled"], reports["arena"])
-    )
+    a, b = reports["interpreted"], reports["arena"]
+    match = (a.coverage_percent == b.coverage_percent
+             and a.efficiency_percent == b.efficiency_percent
+             and a.detected == b.detected
+             and a.num_vectors == b.num_vectors)
     if not match:
         _LOG.error("atpg.backend_mismatch", rows=rows)
     for row in rows:
@@ -518,7 +508,7 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
                          f"(choose from {', '.join(ALL_SUITES)})")
     catalogue = {
         "fault_sim": (
-            "Fault simulation: interpreted vs compiled vs arena backend",
+            "Fault simulation: interpreted vs arena backend",
             lambda: fault_sim_rows(quick=quick, seed=seed, jobs=jobs)),
         "atpg": (
             "ATPG backend equivalence (arm_alu) + "

@@ -26,8 +26,8 @@ Subcommands:
 - ``stats``        netlist statistics for the whole design (or one module),
 - ``piers``        list PI/PO-accessible registers,
 - ``bench``        differential simulation-backend benchmarks (interpreted
-                   vs compiled vs arena fault simulation plus an ATPG
-                   equivalence check); writes ``BENCH_*.json``, exits 1 on
+                   vs arena fault simulation plus an ATPG equivalence
+                   check); writes ``BENCH_*.json``, exits 1 on
                    mismatch,
 - ``serve``        resident ATPG job server (queueing, admission control,
                    request coalescing, graceful drain; see docs/serving.md),
@@ -62,6 +62,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro import __version__
+from repro.atpg.compiled import BACKENDS
 from repro.atpg.engine import AtpgOptions
 from repro.core.extractor import ExtractionMode
 from repro.core.factor import Factor
@@ -146,8 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-piers", action="store_true",
                        help="disable PIER pseudo PI/PO")
         p.add_argument("--seed", type=int, default=2002)
-        p.add_argument("--backend",
-                       choices=["arena", "compiled", "interpreted"],
+        p.add_argument("--backend", choices=BACKENDS,
                        help="fault-simulation backend (default: arena, "
                             "or REPRO_SIM_BACKEND)")
         p.add_argument("--fault-model",
@@ -359,8 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--frames", type=int, default=4)
     p_submit.add_argument("--backtrack-limit", type=int, default=300)
     p_submit.add_argument("--seed", type=int, default=2002)
-    p_submit.add_argument("--backend",
-                          choices=["arena", "compiled", "interpreted"])
+    p_submit.add_argument("--backend", choices=BACKENDS)
     p_submit.add_argument("--fault-model",
                           choices=["stuck", "transient", "both"],
                           default="stuck",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.atpg.compiled import BACKENDS
 from repro.store import fingerprint_obj, fingerprint_text
 
 #: Operations a job may request, in the order the docs present them.
@@ -139,10 +140,10 @@ class JobSpec:
         if self.mode not in ("compose", "conventional"):
             raise ProtocolError(
                 f"bad mode {self.mode!r}; expected compose|conventional")
-        if self.backend not in (None, "arena", "compiled", "interpreted"):
+        if self.backend is not None and self.backend not in BACKENDS:
             raise ProtocolError(
                 f"bad backend {self.backend!r}; "
-                "expected arena|compiled|interpreted")
+                f"expected {'|'.join(BACKENDS)}")
         if self.fault_model not in ("stuck", "transient", "both"):
             raise ProtocolError(
                 f"bad fault_model {self.fault_model!r}; "

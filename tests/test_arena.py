@@ -3,10 +3,9 @@
 The arena backend (struct-of-arrays netlist encoding, memoized good-machine
 pass, exact undetectability filter, cone-partitioned lane blocks in both
 generated and interpreted form) must produce detected-fault sets
-bit-identical to the interpreted oracle and the compiled backend on every
-netlist — including X inputs, preset flip-flop state, Q-net primary outputs
-and extra observe points — and the arena itself must survive a pickle round
-trip unchanged.
+bit-identical to the interpreted oracle on every netlist — including X
+inputs, preset flip-flop state, Q-net primary outputs and extra observe
+points — and the arena itself must survive a pickle round trip unchanged.
 """
 
 import pickle
@@ -35,9 +34,8 @@ def test_three_backend_equality(seed):
     vectors = random_bit_vectors(nl, cycles=12, seed=seed + 100, x_rate=0.25)
     faults = build_fault_list(nl)
     interp = detect(nl, "interpreted", vectors, faults)
-    compiled = detect(nl, "compiled", vectors, faults)
     arena = detect(nl, "arena", vectors, faults)
-    assert interp == compiled == arena
+    assert interp == arena
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -51,9 +49,9 @@ def test_three_backend_equality_with_state_and_observables(seed):
     extra = [g.output for g in nl.gates[:3] if g.type is not GateType.DFF]
     results = [
         detect(nl, backend, vectors, faults, initial_state, extra)
-        for backend in ("interpreted", "compiled", "arena")
+        for backend in ("interpreted", "arena")
     ]
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
 
 
 def test_codegen_and_interp_paths_agree(monkeypatch):
@@ -137,16 +135,6 @@ def test_refinement_filter_is_exact():
         faults = build_fault_list(nl)
         assert (detect(nl, "arena", vectors, faults)
                 == detect(nl, "interpreted", vectors, faults))
-
-
-def test_cone_pack_order_matches_compiled():
-    from repro.atpg.compiled import cone_pack_order, site_rank_map
-
-    nl = random_netlist(5)
-    faults = build_fault_list(nl)
-    arena = get_arena(nl)
-    assert (arena.cone_pack_order(faults)
-            == cone_pack_order(faults, site_rank_map(nl)))
 
 
 def test_gate_reconstruction_round_trips():

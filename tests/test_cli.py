@@ -63,6 +63,30 @@ class TestAtpg:
         assert "detected" in out
 
 
+class TestRemovedBackend:
+    """``compiled`` is no longer a simulation backend: every way of
+    selecting it fails cleanly."""
+
+    def test_backend_flag_is_a_usage_error(self, design_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["atpg", design_file, "--top", "arm", "--mut", "forward",
+                  "--backend", "compiled"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'compiled'" in capsys.readouterr().err
+
+    def test_env_backend_is_a_one_line_error(self, design_file, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
+        rc = main(["atpg", design_file, "--top", "arm", "--mut", "forward",
+                   "--frames", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown simulation backend "
+                              "'compiled'")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestStatsAndPiers:
     def test_stats_full_design(self, design_file, capsys):
         rc = main(["stats", design_file, "--top", "arm"])

@@ -1,11 +1,11 @@
-"""Differential tests for the compiled simulation backend.
+"""Differential tests for the compiled good machine and backend selection.
 
-The compiled backend (code-generated good-machine evaluation plus
-cone-partitioned fault simulation) must be observationally identical to the
-interpreted reference on every netlist: same three-valued net values, same
-detected fault sets, same ATPG results.  These tests drive both backends
-over seeded random netlists and the bundled library designs and require
-exact equality.
+The default ``arena`` backend (code-generated good-machine evaluation from
+:mod:`repro.atpg.compiled` plus the arena's cone-partitioned fault
+simulation) must be observationally identical to the interpreted reference
+on every netlist: same three-valued net values, same detected fault sets,
+same ATPG results.  These tests drive both backends over seeded random
+netlists and the bundled library designs and require exact equality.
 """
 
 import random
@@ -97,7 +97,7 @@ def test_logic_sim_differential(seed):
     nl = random_netlist(seed)
     width = 6
     ref = LogicSimulator(nl, width=width, backend="interpreted")
-    cmp_ = LogicSimulator(nl, width=width, backend="compiled")
+    cmp_ = LogicSimulator(nl, width=width, backend="arena")
     for vec in random_mask_vectors(nl, 8, width, seed + 100):
         v_ref = ref.step(vec)
         v_cmp = cmp_.step(vec)
@@ -113,7 +113,7 @@ def test_logic_sim_constants_and_undriven():
     floating = nl.new_net("floating")
     g = nl.add_gate(GateType.AND, [a, CONST1, floating])
     nl.add_po(g, "o")
-    sim = LogicSimulator(nl, backend="compiled")
+    sim = LogicSimulator(nl, backend="arena")
     values = sim.step({a: (1, 0)})
     assert values[CONST0] == (0, 1)
     assert values[CONST1] == (1, 0)
@@ -131,7 +131,7 @@ def test_fault_sim_differential(seed, lanes):
     faults = build_fault_list(nl)
     vectors = random_bit_vectors(nl, 10, seed + 500)
     ref = FaultSimulator(nl, lanes=lanes, backend="interpreted")
-    cmp_ = FaultSimulator(nl, lanes=lanes, backend="compiled")
+    cmp_ = FaultSimulator(nl, lanes=lanes, backend="arena")
     assert cmp_.detected_faults(vectors, faults) == \
         ref.detected_faults(vectors, faults)
 
@@ -143,7 +143,7 @@ def test_fault_sim_initial_state_and_extra_observables():
     init = {dff.output: (i % 2) for i, dff in enumerate(nl.dffs())}
     extra = [nl.dffs()[0].inputs[0]]
     ref = FaultSimulator(nl, backend="interpreted")
-    cmp_ = FaultSimulator(nl, backend="compiled")
+    cmp_ = FaultSimulator(nl, backend="arena")
     assert cmp_.detected_faults(vectors, faults, initial_state=init,
                                 extra_observables=extra) == \
         ref.detected_faults(vectors, faults, initial_state=init,
@@ -152,14 +152,15 @@ def test_fault_sim_initial_state_and_extra_observables():
 
 @pytest.mark.parametrize("name", sorted(small_designs()))
 def test_cone_partition_matches_full_block(name):
-    """Cone-partitioned narrow blocks detect exactly what one full-netlist
-    block (and the interpreted reference) detects on the bundled designs."""
+    """Cone-partitioned narrow arena blocks detect exactly what one
+    full-width arena block (and the interpreted reference) detects on the
+    bundled designs."""
     nl = netlist_of(small_designs()[name])
     faults = build_fault_list(nl)
     vectors = random_bit_vectors(nl, 8, 7, x_rate=0.1)
     one_block = FaultSimulator(nl, lanes=len(faults) + 1,
-                               backend="compiled")
-    narrow = FaultSimulator(nl, lanes=5, backend="compiled")
+                               backend="arena")
+    narrow = FaultSimulator(nl, lanes=5, backend="arena")
     ref = FaultSimulator(nl, backend="interpreted")
     expected = ref.detected_faults(vectors, faults)
     assert one_block.detected_faults(vectors, faults) == expected
@@ -175,7 +176,7 @@ def test_engine_backend_equivalence():
             random_sequences=2, random_sequence_length=8, seed=11,
             fault_sim_backend=backend))
         reports[backend] = engine.run()
-    a, b = reports["interpreted"], reports["compiled"]
+    a, b = reports["interpreted"], reports["arena"]
     assert a.coverage_percent == b.coverage_percent
     assert a.efficiency_percent == b.efficiency_percent
     assert a.detected == b.detected
@@ -227,7 +228,7 @@ def test_netvalues_mapping_behavior():
     a = nl.add_pi("a")
     g = nl.add_gate(GateType.NOT, [a])
     nl.add_po(g, "o")
-    sim = LogicSimulator(nl, backend="compiled")
+    sim = LogicSimulator(nl, backend="arena")
     values = sim.step({a: (1, 0)})
     assert isinstance(values, NetValues)
     assert len(values) == nl.num_nets
@@ -248,12 +249,15 @@ def test_backend_env_default(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_BACKEND", "interpreted")
     assert default_backend() == "interpreted"
     assert resolve_backend(None) == "interpreted"
-    assert resolve_backend("compiled") == "compiled"
+    assert resolve_backend("arena") == "arena"
 
 
 def test_invalid_backend_rejected():
+    assert BACKENDS == ("arena", "interpreted")
     with pytest.raises(ValueError):
         resolve_backend("bogus")
+    with pytest.raises(ValueError, match="unknown simulation backend"):
+        resolve_backend("compiled")  # removed backend
     nl = Netlist("x")
     nl.add_pi("a")
     with pytest.raises(ValueError):

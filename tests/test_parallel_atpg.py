@@ -193,10 +193,10 @@ class TestParallelFaultSim:
         rng = random_lib.Random(9)
         vectors = [{pi: rng.randint(0, 1) for pi in nl.pis}
                    for _ in range(12)]
-        serial = FaultSimulator(nl, backend="compiled").detected_faults(
+        serial = FaultSimulator(nl, backend="arena").detected_faults(
             vectors, faults)
         par = parallel_detected_faults(nl, vectors, faults, jobs=2,
-                                       backend="compiled")
+                                       backend="arena")
         assert par == serial
 
     def test_serial_fallback_counted(self, monkeypatch):

@@ -96,6 +96,16 @@ class TestEndpoints:
         finally:
             thread.stop()
 
+    def test_removed_backend_is_400(self, fresh_store):
+        thread, client = start_server()
+        try:
+            status, _headers, body = client.request(
+                "POST", "/v1/jobs", payload=lint_spec(backend="compiled"))
+            assert status == 400
+            assert "bad backend 'compiled'" in body["error"]
+        finally:
+            thread.stop()
+
     def test_submit_validation_maps_to_400(self, fresh_store):
         thread, client = start_server()
         try:
