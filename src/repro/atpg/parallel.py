@@ -423,8 +423,9 @@ def run_parallel_podem(seq: SequentialAtpg, commit: PodemCommitState,
     Mutates ``commit`` exactly as the serial loop would (same sets, same
     tests, same order); see the module docstring for why that holds.
     """
-    # Build the unrolled models once, pre-fork: every worker inherits
-    # them copy-on-write instead of rebuilding per process.
+    # Build the unrolled models and their PODEM tables once, pre-fork:
+    # every worker inherits them copy-on-write instead of rebuilding per
+    # process.
     for frames in seq.options.schedule():
         seq.model(frames)
     # The coordinator builds the netlist arena for its shard order, also

@@ -7,68 +7,47 @@ Implements the classic objective / backtrace / imply loop with:
 - X-path pruning,
 - a backtrack limit and a per-fault CPU budget (aborts are reported, which
   is exactly what produces the "ATPG Eff. %" column of the paper's tables).
+
+The search runs on the flat integer indexes of :class:`UnrolledModel`
+(``frame * num_nets + net``) over the tables the model builds once: values
+live in a list copied from the model's base values, implication is a FIFO
+event loop with the gate evaluation inlined, and the D-frontier is kept
+incrementally from a per-gate count of D/D' inputs.  The frontier itself
+stays a set of ``(frame, net)`` tuples, fed the same effective adds and
+discards in the same order as a from-scratch rebuild would, because the
+objective's tie-break between equal-level frontier gates is that set's
+iteration order (``docs/performance.md``, "PODEM data layout").
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs import CpuTimer, Deadline, progress
-from repro.synth.netlist import GateType
 from repro.atpg.faults import Fault
-from repro.atpg.sequential import Key, UnrolledModel
-from repro.atpg.values import (
-    V0,
-    V1,
-    VX,
-    from_components,
-    good_bit,
-    is_d_value,
-    v_and,
-    v_not,
-    v_or,
-    v_xor,
+from repro.atpg.sequential import (OP_AND, OP_BUF, OP_NAND, OP_NOT, OP_OR,
+                                   OP_SRC, OP_XOR, OP_XNOR, Key,
+                                   UnrolledModel)
+from repro.atpg.values import (AND_TABLE, NOT_TABLE, OR_TABLE, V0, V1, VD,
+                               VDBAR, VX, XOR_TABLE, from_components,
+                               good_bit)
+
+# Good-machine bit of each value (None = X), and its D-ness.
+_GOOD = tuple(good_bit(v) for v in range(5))
+_IS_D = tuple(v == VD or v == VDBAR for v in range(5))
+# X or D: a net a fault effect can still travel along.
+_X_OR_D = tuple(v == VX or v == VD or v == VDBAR for v in range(5))
+# Value at a stuck-at-v site: good machine kept, faulty machine forced.
+_FAULTIZE = tuple(
+    tuple(from_components(_GOOD[v], stuck) for v in range(5))
+    for stuck in (0, 1)
 )
-
-_CONTROLLING = {
-    GateType.AND: 0,
-    GateType.NAND: 0,
-    GateType.OR: 1,
-    GateType.NOR: 1,
-}
-_INVERTING = {GateType.NAND, GateType.NOR, GateType.NOT, GateType.XNOR}
-
-
-def eval_gate_values(gtype: GateType, input_keys: Sequence[Key],
-                     val: Dict[Key, int]) -> int:
-    """Five-valued evaluation of one gate over a value map."""
-    get = val.get
-    if gtype is GateType.BUF:
-        return get(input_keys[0], VX)
-    if gtype is GateType.NOT:
-        return v_not(get(input_keys[0], VX))
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        acc = V1
-        for k in input_keys:
-            acc = v_and(acc, get(k, VX))
-            if acc == V0:
-                break
-        return v_not(acc) if gtype is GateType.NAND else acc
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        acc = V0
-        for k in input_keys:
-            acc = v_or(acc, get(k, VX))
-            if acc == V1:
-                break
-        return v_not(acc) if gtype is GateType.NOR else acc
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        acc = V0
-        for k in input_keys:
-            acc = v_xor(acc, get(k, VX))
-        return v_not(acc) if gtype is GateType.XNOR else acc
-    raise ValueError(f"cannot evaluate gate type {gtype}")
+# Value that does not control a frontier gate's output (0 when no input
+# value controls it).
+_NONCONTROLLING = tuple(1 if op in (OP_AND, OP_NAND) else 0
+                        for op in range(OP_XNOR + 1))
 
 
 @dataclass
@@ -89,6 +68,10 @@ class PodemResult:
         return self.status == "detected"
 
 
+# An undo log: the indexes changed, in order, and their previous values.
+Undo = Tuple[List[int], List[int]]
+
+
 class Podem:
     """One PODEM search for one fault on one unrolled model."""
 
@@ -99,10 +82,12 @@ class Podem:
         self.fault = fault
         self.backtrack_limit = backtrack_limit
         self.time_limit = time_limit
-        self.val: Dict[Key, int] = {}
-        self._observable_set: Set[Key] = set(model.observable)
-        self._d_nets: Set[Key] = set()       # keys currently carrying D/D'
-        self._frontier: Set[Key] = set()     # gate-output keys on D-frontier
+        self._sites = [model.index(f, fault.net) for f in range(model.frames)]
+        self._site_set = frozenset(self._sites)
+        self._faultize = _FAULTIZE[fault.value]
+        self.val: List[int] = []
+        self._d_nets: Set[int] = set()   # indexes currently carrying D/D'
+        self._frontier: Set[Key] = set()  # gate-output keys on D-frontier
         self.backtracks = 0
         self.decisions = 0
         self.implications = 0
@@ -115,7 +100,7 @@ class Podem:
         model = self.model
         self._init_values()
 
-        stack: List[List] = []  # [key, value, tried_other, undo_log]
+        stack: List[List] = []  # [index, value, tried_other, undo_log]
         status = "untestable"
         abort_reason: Optional[str] = None
 
@@ -124,23 +109,23 @@ class Podem:
                 status = "aborted"
                 abort_reason = "time_limit"
                 break
-            if self._detected():
+            if not self._d_nets.isdisjoint(model.observable_set):
                 status = "detected"
                 break
 
             objective = self._objective()
-            target = self._backtrace(objective) if objective else None
+            target = self._backtrace(*objective) if objective else None
             if target is not None:
-                key, value = target
+                index, value = target
                 self.decisions += 1
-                undo = self._assign(key, value)
-                stack.append([key, value, False, undo])
+                undo = self._assign(index, value)
+                stack.append([index, value, False, undo])
                 continue
 
             # Dead end: chronological backtracking.
             backtracked = False
             while stack:
-                key, value, tried, undo = stack.pop()
+                index, value, tried, undo = stack.pop()
                 self._revert(undo)
                 self.backtracks += 1
                 if self.backtracks % 256 == 0:
@@ -152,8 +137,8 @@ class Podem:
                     abort_reason = "backtrack_limit"
                     break
                 if not tried:
-                    undo2 = self._assign(key, 1 - value)
-                    stack.append([key, 1 - value, True, undo2])
+                    undo2 = self._assign(index, 1 - value)
+                    stack.append([index, 1 - value, True, undo2])
                     backtracked = True
                     break
             if not backtracked:
@@ -182,287 +167,290 @@ class Podem:
     def _init_values(self) -> None:
         """Initial implication pass: copy the model's fault-free base values
         and propagate the fault injection from its site copies only."""
-        model = self.model
-        self.val = dict(model.base_values())
+        size = len(self.model.base)
+        self.val = val = list(self.model.base)
+        self._queued = bytearray(size)
+        self._d_count = [0] * size   # D/D' inputs per gate output
+        self._is_d = bytearray(size)
+        self._in_frontier = bytearray(size)
         self._d_nets = set()
         self._frontier = set()
-        changed: List[Key] = []
-        for key in model.fault_site_keys(self.fault.net):
-            old = self.val.get(key, VX)
-            new = self._faultize(old)
+        changed: List[int] = []
+        for i in self._sites:
+            old = val[i]
+            new = self._faultize[old]
             if new != old:
-                self.val[key] = new
-                changed.append(key)
-        if changed:
-            undo = self._propagate(changed)
-            changed.extend(k for k, _ in undo)
+                val[i] = new
+                changed.append(i)
+        self._imply(changed, changed, [])
         self._after_changes(changed)
 
-    def _propagate(self, seeds: Sequence[Key]) -> List[Tuple[Key, int]]:
-        """Event-driven forward propagation from the given keys."""
-        undo: List[Tuple[Key, int]] = []
-        queue = deque()
-        seen_in_queue = set()
-        for seed in seeds:
-            for nxt in self.model.fanout_keys(seed):
-                if nxt not in seen_in_queue:
-                    queue.append(nxt)
-                    seen_in_queue.add(nxt)
-        while queue:
-            current = queue.popleft()
-            seen_in_queue.discard(current)
-            old_val = self.val.get(current, VX)
-            new_val = self._eval_key(current)
-            if new_val == old_val:
-                continue
-            undo.append((current, old_val))
-            self.implications += 1
-            self.val[current] = new_val
-            for nxt in self.model.fanout_keys(current):
-                if nxt not in seen_in_queue:
-                    queue.append(nxt)
-                    seen_in_queue.add(nxt)
-        return undo
+    def _assign(self, index: int, bit: int) -> Undo:
+        """Assign a PI/PIER index and propagate; returns the undo log."""
+        val = self.val
+        old = val[index]
+        new = V1 if bit else V0
+        if index in self._site_set:
+            new = self._faultize[new]
+        if new == old:
+            return [], []
+        val[index] = new
+        changed, olds = [index], [old]
+        self._imply(changed, changed, olds)
+        self._after_changes(changed)
+        return changed, olds
 
-    def _after_changes(self, changed: Sequence[Key]) -> None:
-        """Incrementally update D-net and D-frontier sets."""
+    def _imply(self, seeds: List[int], changed: List[int],
+               olds: List[int]) -> None:
+        """FIFO event-driven forward implication from ``seeds``' fanouts;
+        appends every changed index and its old value to the log."""
         model = self.model
         val = self.val
-        affected: Set[Key] = set()
-        for key in changed:
-            value = val.get(key, VX)
-            if is_d_value(value):
-                self._d_nets.add(key)
-            else:
-                self._d_nets.discard(key)
-            frame, net = key
-            if net in model.driver:
-                affected.add(key)
-            for gate in model.fanout.get(net, []):
-                affected.add((frame, gate.output))
-        for out_key in affected:
-            frame, net = out_key
-            gate = model.driver.get(net)
-            if gate is None:
-                continue
-            if val.get(out_key, VX) == VX and any(
-                is_d_value(val.get((frame, i), VX)) for i in gate.inputs
-            ):
-                self._frontier.add(out_key)
-            else:
-                self._frontier.discard(out_key)
-
-    def _faultize(self, value: int) -> int:
-        return from_components(good_bit(value), self.fault.value)
-
-    def _eval_key(self, key: Key) -> int:
-        model = self.model
-        drv = model.driver_of(key)
-        if drv is None:
-            value = self.val.get(key, VX)
-        else:
-            kind, gate, input_keys = drv
-            if kind == "dff":
-                value = self.val.get(input_keys[0], VX)
-            else:
-                value = eval_gate_values(gate.type, input_keys, self.val)
-        if key[1] == self.fault.net:
-            value = self._faultize(value)
-        return value
-
-    def _assign(self, key: Key, bit: int) -> List[Tuple[Key, int]]:
-        """Assign a PI/PIER key and propagate; returns the undo log."""
-        undo: List[Tuple[Key, int]] = []
-        old = self.val.get(key, VX)
-        new = V1 if bit else V0
-        if key[1] == self.fault.net:
-            new = self._faultize(new)
-        if new == old:
-            return undo
-        undo.append((key, old))
-        self.val[key] = new
-        queue = deque(self.model.fanout_keys(key))
-        seen_in_queue = set(queue)
+        ops, fanins, fanouts = model.ops, model.fanins, model.fanouts
+        sites, faultize = self._site_set, self._faultize
+        queued = self._queued
+        queue = deque()
+        push = queue.append
+        for seed in seeds:
+            for nxt in fanouts[seed]:
+                if not queued[nxt]:
+                    queued[nxt] = 1
+                    push(nxt)
+        pop = queue.popleft
+        log_index, log_old = changed.append, olds.append
+        implications = 0
+        and_t, or_t, xor_t, not_t = AND_TABLE, OR_TABLE, XOR_TABLE, NOT_TABLE
         while queue:
-            current = queue.popleft()
-            seen_in_queue.discard(current)
-            old_val = self.val.get(current, VX)
-            new_val = self._eval_key(current)
-            if new_val == old_val:
+            cur = pop()
+            queued[cur] = 0
+            op = ops[cur]
+            ins = fanins[cur]
+            if op >= OP_AND:
+                if op < OP_OR:
+                    new = V1
+                    for i in ins:
+                        new = and_t[new][val[i]]
+                        if new == V0:
+                            break
+                elif op < OP_XOR:
+                    new = V0
+                    for i in ins:
+                        new = or_t[new][val[i]]
+                        if new == V1:
+                            break
+                else:
+                    new = V0
+                    for i in ins:
+                        new = xor_t[new][val[i]]
+                if op & 1:
+                    new = not_t[new]
+            elif op == OP_NOT:
+                new = not_t[val[ins[0]]]
+            else:  # OP_BUF or a frame-f>0 flop output; sources never queue
+                new = val[ins[0]]
+            if cur in sites:
+                new = faultize[new]
+            old = val[cur]
+            if new == old:
                 continue
-            undo.append((current, old_val))
-            self.implications += 1
-            self.val[current] = new_val
-            for nxt in self.model.fanout_keys(current):
-                if nxt not in seen_in_queue:
-                    queue.append(nxt)
-                    seen_in_queue.add(nxt)
-        self._after_changes([k for k, _ in undo])
-        return undo
+            log_index(cur)
+            log_old(old)
+            implications += 1
+            val[cur] = new
+            for nxt in fanouts[cur]:
+                if not queued[nxt]:
+                    queued[nxt] = 1
+                    push(nxt)
+        self.implications += implications
 
-    def _revert(self, undo: List[Tuple[Key, int]]) -> None:
-        for key, old in reversed(undo):
-            if old == VX:
-                self.val.pop(key, None)
+    def _revert(self, undo: Undo) -> None:
+        changed, olds = undo
+        val = self.val
+        for k in range(len(changed) - 1, -1, -1):
+            val[changed[k]] = olds[k]
+        self._after_changes(changed)
+
+    def _after_changes(self, changed: List[int]) -> None:
+        """Incrementally update the D-net set, the per-gate D-input counts
+        and the D-frontier after the values at ``changed`` moved."""
+        model = self.model
+        val = self.val
+        ops, gate_fanouts = model.ops, model.gate_fanouts
+        is_d, d_count, d_nets = self._is_d, self._d_count, self._d_nets
+        candidates: List[int] = []
+        for i in changed:
+            d = _IS_D[val[i]]
+            if d != is_d[i]:
+                is_d[i] = d
+                outs = gate_fanouts[i]
+                if d:
+                    d_nets.add(i)
+                    for g in outs:
+                        d_count[g] += 1
+                else:
+                    d_nets.discard(i)
+                    for g in outs:
+                        d_count[g] -= 1
+                candidates.extend(outs)
+            if ops[i] >= OP_BUF:
+                candidates.append(i)
+        in_frontier = self._in_frontier
+        flips: List[int] = []
+        for g in candidates:
+            member = val[g] == VX and d_count[g] > 0
+            if member != in_frontier[g]:
+                in_frontier[g] = member
+                flips.append(g)
+        if not flips:
+            return
+        n = model.num_nets
+        if len(flips) == 1:
+            keys = [divmod(flips[0], n)]
+        else:
+            # Apply several flips in the iteration order of the set of
+            # affected gate keys a from-scratch update would visit, so the
+            # frontier set's internal order (the objective's tie-break) is
+            # the one that update would leave.
+            affected: Set[Key] = set()
+            for i in changed:
+                if ops[i] >= OP_BUF:
+                    affected.add(divmod(i, n))
+                for g in gate_fanouts[i]:
+                    affected.add(divmod(g, n))
+            flipped = set(flips)
+            keys = [key for key in affected if key[0] * n + key[1] in flipped]
+        frontier = self._frontier
+        for frame, net in keys:
+            if in_frontier[frame * n + net]:
+                frontier.add((frame, net))
             else:
-                self.val[key] = old
-        self._after_changes([k for k, _ in undo])
+                frontier.discard((frame, net))
 
     # -- search guidance -------------------------------------------------------
 
-    def _detected(self) -> bool:
-        if len(self._d_nets) < len(self._observable_set):
-            return any(k in self._observable_set for k in self._d_nets)
-        return any(k in self._d_nets for k in self._observable_set)
-
-    def _fault_activated(self) -> bool:
-        val = self.val
-        for key in self.model.fault_site_keys(self.fault.net):
-            if is_d_value(val.get(key, VX)):
-                return True
-        return False
-
-    def _objective(self) -> Optional[Tuple[Key, int]]:
+    def _objective(self) -> Optional[Tuple[int, int]]:
         model = self.model
         val = self.val
+        controllable = model.controllable_flags
 
-        if not self._fault_activated():
+        if not any(_IS_D[val[i]] for i in self._sites):
+            # Activate the fault, latest frame first.
             desired = 1 - self.fault.value
-            for key in reversed(model.fault_site_keys(self.fault.net)):
-                if val.get(key, VX) == VX and model.is_controllable(key):
-                    return (key, desired)
+            for i in reversed(self._sites):
+                if val[i] == VX and controllable[i]:
+                    return (i, desired)
             return None
 
         if not self._x_path_exists():
             return None
 
-        # Propagate: pick the D-frontier gate closest to the outputs.
-        frontier = self._d_frontier()
-        if not frontier:
-            return None
-        frontier.sort(key=lambda item: -model.level(item[0]))
-        for out_key, gtype, input_keys in frontier:
-            ctrl = _CONTROLLING.get(gtype)
-            noncontrolling = 1 - ctrl if ctrl is not None else 0
-            for in_key in input_keys:
-                if val.get(in_key, VX) == VX and model.is_controllable(in_key):
-                    return (in_key, noncontrolling)
+        # Propagate: pick the D-frontier gate closest to the outputs; equal
+        # levels keep the frontier set's iteration order (stable sort).
+        n = model.num_nets
+        frontier = sorted((f * n + net for f, net in self._frontier),
+                          key=model.levels.__getitem__, reverse=True)
+        ops, fanins = model.ops, model.fanins
+        for g in frontier:
+            for i in fanins[g]:
+                if val[i] == VX and controllable[i]:
+                    return (i, _NONCONTROLLING[ops[g]])
         return None
 
-    def _d_frontier(self) -> List[Tuple[Key, GateType, List[Key]]]:
-        """Gates with a D input and an X output, in all frames."""
-        model = self.model
-        out: List[Tuple[Key, GateType, List[Key]]] = []
-        for out_key in self._frontier:
-            frame, net = out_key
-            gate = model.driver[net]
-            out.append((out_key, gate.type, [(frame, i) for i in gate.inputs]))
-        return out
-
     def _x_path_exists(self) -> bool:
-        """Some D value can still reach an observable key through X nets."""
+        """Some D value can still reach an observable index through X
+        nets."""
         model = self.model
         val = self.val
-        sources = list(self._d_nets)
-        seen: Set[Key] = set()
-        stack = list(sources)
+        fanouts, observable = model.fanouts, model.observable_set
+        seen: Set[int] = set()
+        stack = list(self._d_nets)
         while stack:
-            key = stack.pop()
-            if key in self._observable_set:
+            i = stack.pop()
+            if i in observable:
                 return True
-            for nxt in model.fanout_keys(key):
+            for nxt in fanouts[i]:
                 if nxt in seen:
                     continue
-                value = val.get(nxt, VX)
-                if value == VX or is_d_value(value):
+                if _X_OR_D[val[nxt]]:
                     seen.add(nxt)
-                    if nxt in self._observable_set:
+                    if nxt in observable:
                         return True
                     stack.append(nxt)
-        # Direct observation of a D at an observable key is "detected",
+        # Direct observation of a D at an observable index is "detected",
         # handled elsewhere; reaching here means no path remains.
         return False
 
-    def _backtrace(self, objective: Tuple[Key, int]
-                   ) -> Optional[Tuple[Key, int]]:
+    def _backtrace(self, index: int, value: int
+                   ) -> Optional[Tuple[int, int]]:
         """Map an objective to an unassigned assignable input."""
         model = self.model
         val = self.val
-        key, value = objective
+        ops, fanins, levels = model.ops, model.fanins, model.levels
+        assignable = model.assignable_flags
+        controllable = model.controllable_flags
         guard = 0
         while True:
             guard += 1
             if guard > 100000:
                 return None
-            if model.is_assignable(key) and val.get(key, VX) == VX:
-                return (key, value)
-            drv = model.driver_of(key)
-            if drv is None:
+            if assignable[index] and val[index] == VX:
+                return (index, value)
+            op = ops[index]
+            if op == OP_SRC:
                 return None
-            kind, gate, input_keys = drv
-            if kind == "dff":
-                key = input_keys[0]
+            ins = fanins[index]
+            if op <= OP_BUF:  # a buffer or a frame-f>0 flop output
+                index = ins[0]
                 continue
-            gtype = gate.type
-            if gtype is GateType.BUF:
-                key = input_keys[0]
-                continue
-            if gtype is GateType.NOT:
-                key = input_keys[0]
+            if op == OP_NOT:
+                index = ins[0]
                 value = 1 - value
                 continue
-            if gtype in (GateType.AND, GateType.NAND, GateType.OR,
-                         GateType.NOR):
-                if gtype in _INVERTING:
-                    value = 1 - value
-                ctrl = _CONTROLLING[gtype]
-                candidates = [
-                    k for k in input_keys
-                    if val.get(k, VX) == VX and model.is_controllable(k)
-                ]
+            if op & 1:
+                value = 1 - value
+            if op < OP_XOR:
+                ctrl = 0 if op < OP_OR else 1
+                candidates = [i for i in ins
+                              if val[i] == VX and controllable[i]]
                 if not candidates:
                     return None
                 if value == ctrl:
                     # One controlling input suffices: pick the easiest.
-                    key = min(candidates, key=model.level)
+                    index = min(candidates, key=levels.__getitem__)
                 else:
                     # All inputs must be non-controlling: pick the hardest.
-                    key = max(candidates, key=model.level)
+                    index = max(candidates, key=levels.__getitem__)
                 continue
-            if gtype in (GateType.XOR, GateType.XNOR):
-                if gtype is GateType.XNOR:
-                    value = 1 - value
-                parity = 0
-                candidates = []
-                for k in input_keys:
-                    bit = good_bit(val.get(k, VX))
-                    if bit is None:
-                        if model.is_controllable(k):
-                            candidates.append(k)
-                    else:
-                        parity ^= bit
-                if not candidates:
-                    return None
-                key = min(candidates, key=model.level)
-                value = value ^ parity
-                continue
-            return None
+            parity = 0
+            candidates = []
+            for i in ins:
+                bit = _GOOD[val[i]]
+                if bit is None:
+                    if controllable[i]:
+                        candidates.append(i)
+                else:
+                    parity ^= bit
+            if not candidates:
+                return None
+            index = min(candidates, key=levels.__getitem__)
+            value = value ^ parity
 
     # -- vector extraction -------------------------------------------------------
 
     def _extract_vectors(self) -> Tuple[List[Dict[int, int]], Dict[int, int]]:
         model = self.model
         val = self.val
+        n = model.num_nets
         vectors: List[Dict[int, int]] = []
         for frame in range(model.frames):
             vec: Dict[int, int] = {}
             for pi in model.base_pis:
-                bit = good_bit(val.get((frame, pi), VX))
+                bit = _GOOD[val[frame * n + pi]]
                 vec[pi] = bit if bit is not None else 0
             vectors.append(vec)
         init_state: Dict[int, int] = {}
         for q in model.pier_qs:
-            bit = good_bit(val.get((0, q), VX))
+            bit = _GOOD[val[q]]
             if bit is not None:
                 init_state[q] = bit
         return vectors, init_state

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import random
 import shutil
 import subprocess
@@ -479,6 +480,17 @@ def campaign_rows(quick: bool = False,
     return rows
 
 
+def host_info() -> Dict[str, object]:
+    """The host a payload was measured on: timings from hosts with other
+    core counts or Python versions are not comparable."""
+    return {
+        "cores": available_cores(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
 #: Suites run by a bare ``repro bench``.  The serve and campaign suites
 #: are opt-in (``--suite serve`` / ``--suite campaign`` / ``--suite
 #: all``): serve boots a server subprocess with its own worker pool, and
@@ -541,6 +553,7 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
             "scale": scale,
             "seed": seed,
             "jobs": jobs,
+            "host": host_info(),
             "rows": rows,
             "record": RunRecord.capture(f"bench.{key}").as_dict(),
         }

@@ -50,7 +50,9 @@ variants by extension) and ``--metrics-out FILE`` (metrics registry
 snapshot as JSON, or Prometheus text exposition with a ``.prom`` suffix).
 
 ``SIGINT`` exits 130; ``SIGTERM`` exits 143 — both flush partial
-``--trace-out`` / ``--metrics-out`` payloads first.
+``--trace-out`` / ``--metrics-out`` payloads first.  Unreadable files,
+Verilog that does not lex, preprocess or parse, and an unknown ``--top``
+print one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from repro.atpg.engine import AtpgOptions
 from repro.core.extractor import ExtractionMode
 from repro.core.factor import Factor
 from repro.core.report import format_table
+from repro.hierarchy.design import DesignError
 from repro.jobs import (
     SIGTERM_EXIT_CODE,
     Terminated,
@@ -83,6 +86,9 @@ from repro.obs import (
     get_tracer,
 )
 from repro.synth.stats import netlist_stats
+from repro.verilog.lexer import LexError
+from repro.verilog.parser import ParseError
+from repro.verilog.preprocess import PreprocessError
 
 _log = get_logger("cli")
 
@@ -1419,6 +1425,11 @@ def _write_observability(args) -> None:
         atomic_write_text(metrics_out, text)
 
 
+# Errors in the user's input or environment: one ``error:`` line, exit 1.
+_USER_ERRORS = (OSError, ValueError, LexError, PreprocessError, ParseError,
+                DesignError)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     configure_logging(getattr(args, "log_level", "warning"))
@@ -1438,7 +1449,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Terminated:
         print("terminated", file=sys.stderr)
         code = SIGTERM_EXIT_CODE
-    except (OSError, ValueError) as err:
+    except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         code = 1
     except Exception:

@@ -1,6 +1,7 @@
 """Tests for the ``repro bench`` microbenchmark harness."""
 
 import json
+import platform
 
 from repro.bench.experiments import resolve_jobs
 from repro.cli import main
@@ -74,6 +75,10 @@ def test_cli_bench_quick_writes_payloads(tmp_path, capsys):
         assert payload["scale"] == "quick"
         assert payload["seed"] == 9
         assert payload["jobs"] == 1
+        host = payload["host"]
+        assert host["cores"] >= 1
+        assert host["python"] == platform.python_version()
+        assert host["platform"]
         assert payload["rows"], key
         assert all(row["match"] for row in payload["rows"])
         assert payload["record"]["label"] == f"bench.{key}"

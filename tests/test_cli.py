@@ -87,6 +87,43 @@ class TestRemovedBackend:
         assert "Traceback" not in err
 
 
+class TestInputErrors:
+    """Bad Verilog and an unknown ``--top`` are one ``error:`` line with
+    exit 1, never a traceback."""
+
+    GOOD = "module top(input a, output y);\n  assign y = ~a;\nendmodule\n"
+
+    @pytest.mark.parametrize("source,message", [
+        # LexError
+        ('module top(input a, output y);\n  assign y = "a;\nendmodule\n',
+         "error: line 2: unterminated string literal"),
+        # PreprocessError
+        ("`ifdef X\nmodule top(input a, output y);\nendmodule\n",
+         "unterminated `ifdef"),
+        # ParseError
+        ("module top(input a, output y);\n  assign y = a &;\nendmodule\n",
+         "error: line 2: unexpected token ';' in expression"),
+    ], ids=["lex", "preprocess", "parse"])
+    def test_bad_verilog(self, tmp_path, capsys, source, message):
+        path = tmp_path / "bad.v"
+        path.write_text(source)
+        rc = main(["atpg", str(path), "--top", "top", "--mut", "top"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unknown_top(self, tmp_path, capsys):
+        path = tmp_path / "good.v"
+        path.write_text(self.GOOD)
+        rc = main(["atpg", str(path), "--top", "nosuch", "--mut", "top"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: top module 'nosuch' not found\n"
+
+
 class TestStatsAndPiers:
     def test_stats_full_design(self, design_file, capsys):
         rc = main(["stats", design_file, "--top", "arm"])

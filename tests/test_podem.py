@@ -11,7 +11,7 @@ may detect it.
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault, build_fault_list
 from repro.atpg.podem import Podem
-from repro.atpg.sequential import UnrolledModel
+from repro.atpg.sequential import OP_Q, OP_SRC, UnrolledModel
 from repro.designs import adder_source, counter_source, fsm_source
 from repro.hierarchy import Design
 from repro.synth import synthesize
@@ -122,15 +122,22 @@ class TestSequential:
         nl = netlist_of(counter_source())
         model = UnrolledModel(nl, 2)
         for dff in nl.dffs():
-            assert model.is_x_source((0, dff.output))
-            assert not model.is_assignable((0, dff.output))
-            assert not model.is_x_source((1, dff.output))
+            frame0 = model.index(0, dff.output)
+            frame1 = model.index(1, dff.output)
+            # Frame 0: an X source, neither driven nor settable.
+            assert model.ops[frame0] == OP_SRC
+            assert not model.controllable_flags[frame0]
+            assert not model.assignable_flags[frame0]
+            # Frame 1: driven by frame 0's D.
+            assert model.ops[frame1] == OP_Q
+            assert model.controllable_flags[frame1]
 
     def test_pier_makes_state_assignable(self):
         nl = netlist_of(counter_source())
         q0 = nl.dffs()[0].output
         model = UnrolledModel(nl, 2, pier_qs={q0})
-        assert model.is_assignable((0, q0))
+        assert model.assignable_flags[model.index(0, q0)]
+        assert not model.assignable_flags[model.index(1, q0)]
         assert (0, q0) in model.assignable
         # The D input of a PIER flop is observable in the last frame.
         assert (1, nl.dffs()[0].inputs[0]) in model.observable
