@@ -24,32 +24,38 @@ this differs from textbook PPSFP).  A call proceeds as:
 
 1. **Good-machine pass** — the shared fault-free simulation, one plane per
    cycle, reusing the code-generated chunk functions of
-   :mod:`repro.atpg.compiled` (bit-identical by construction).  While
-   simulating, a per-net *ever-one* / *ever-zero* byte table is accumulated
-   with O(nets) big-int shifts per cycle.
+   :mod:`repro.atpg.compiled` (bit-identical by construction).  The stored
+   planes are all later steps read of the good machine.
 2. **Refinement filter** — a stuck-at-``v`` fault whose site never carries
-   the binary value ``1-v`` in the good machine is provably undetectable by
-   this sequence, so its lane is never simulated.  Proof sketch: by
-   induction over levelized order and cycles, every faulty-machine net value
-   *refines* the good value in the Kleene information order (injection
-   forces ``v`` where the good machine has ``v`` or ``X``; all gate
-   functions and the DFF latch are monotone in that order).  Detection
+   the binary value ``1-v`` in the good machine (looked up in the stored
+   planes) is provably undetectable by this sequence, so its lane is
+   never simulated.  Proof sketch: by induction over levelized order and
+   cycles, every faulty-machine net value *refines* the good value in the
+   Kleene information order (injection forces ``v`` where the good machine
+   has ``v`` or ``X``; all gate functions and the DFF latch are monotone
+   in that order).  Detection
    requires a binary-vs-binary difference at an observe point, which a
    refinement cannot produce.
-3. **Cone-partitioned lane blocks** — surviving faults are sorted in cone
-   pack order and partitioned by a cost model; each block simulates only the
-   union fanout cone of its sites, with fault injection fused at the sites,
-   X-masks preserved end to end, detection against good-plane selector
-   masks, and early exit once every injected lane has detected.  Large
-   steady-state workloads run through per-block *generated* functions
-   (single-use fanouts fused into consumer expressions); small or one-shot
-   workloads (ATPG cross-simulation) run an interpreted block program with
-   the same semantics, skipping codegen cost.
+3. **Divergence-driven lane blocks** — surviving faults are sorted in cone
+   pack order and run in ``lanes``-wide blocks.  A block stores a net only
+   while it *diverges* from the good machine in some lane; every other net
+   reads its good-plane value broadcast across the lanes.  Each cycle
+   evaluates just the gate rows that read a divergent net or drive a live
+   injection site, in row (levelized) order, with X-masks preserved end to
+   end; a gate whose inputs all carry their good broadcast yields its good
+   broadcast, so this is exact (selective trace plus parallel faults, as in
+   PROOFS).  Detection compares divergent observe points with the good
+   plane; a block exits early once every lane has detected, or once no
+   lane is live and no state diverges.  Large steady-state workloads can
+   instead run per-block *generated* functions over the block's whole
+   fanout cone (single-use fanouts fused into consumer expressions), above
+   the ``REPRO_ARENA_CODEGEN_*`` workload thresholds.
 
 Transient (SEU) faults take the same path with their own filter (the good
-value at the flip cycle) and sort key (flip cycle first): the interpreted
-block executor gives every lane a live window — all cycles for a stuck-at
-fault, its flip cycle for an upset — so one executor grades both models.
+value at the flip cycle) and sort key (flip cycle first): the block
+executor gives every lane a live window — all cycles for a stuck-at
+fault, its flip cycle for an upset — so one executor grades both models,
+and an upset that dies out ends its block.
 
 Detected sets are bit-identical to the interpreted oracle;
 ``tests/test_arena.py`` and ``tests/test_transient.py`` hold the
@@ -310,9 +316,10 @@ class ArenaFaultSim:
 
     Holds every reusable artifact of repeated simulation against the same
     arena: the good-machine chunk functions, the memoized good-plane pass,
-    built lane blocks and their per-good-pass cycle setups.  Get instances
-    through :func:`get_arena_sim` so all ``FaultSimulator`` facades over the
-    same arena share them.
+    the lane-block executor's event tables, built generated blocks and
+    their per-good-pass cycle setups.  Get instances through
+    :func:`get_arena_sim` so all ``FaultSimulator`` facades over the same
+    arena share them.
     """
 
     def __init__(self, arena: NetlistArena):
@@ -330,6 +337,7 @@ class ArenaFaultSim:
         self._good_token = 0
         # Built codegen blocks keyed by (survivor lanes, observe points).
         self._blocks: "OrderedDict[tuple, list]" = OrderedDict()
+        self._tables = None  # divergence-executor tables, built lazily
 
     # -- good machine -------------------------------------------------------
 
@@ -347,14 +355,13 @@ class ArenaFaultSim:
 
     def _good_pass(self, vectors: Sequence[Vector],
                    initial_state: Optional[Mapping[int, int]]):
-        """Simulate the fault-free machine; returns
-        ``(planes, ever_one, ever_zero, token)``.
+        """Simulate the fault-free machine; returns ``(planes, token)``.
 
         ``planes`` holds one flat ``[o0, z0, o1, z1, ...]`` snapshot per
-        cycle.  ``ever_one[n]`` / ``ever_zero[n]`` are truthy iff net ``n``
-        ever carried binary 1 / 0 — accumulated as one byte per net with two
-        big-int shift-ORs per cycle (cycle bits fill each byte in windows of
-        8, so ORs never carry across byte boundaries).
+        cycle, each entry 0 or 1.  They are all later stages read of the
+        good machine: the undetectability filters look up fault sites in
+        them, and lane blocks broadcast them wherever a net does not
+        diverge.
         """
         from repro.obs import counter
 
@@ -383,8 +390,6 @@ class ArenaFaultSim:
         values[1] = 1  # const0 zeros plane
         values[2] = 1  # const1 ones plane
         planes: List[List[int]] = []
-        ever_o = ever_z = acc_o = acc_z = 0
-        window = 0
         for vec in vectors:
             for pi in pis:
                 bit = vec.get(pi)
@@ -405,25 +410,11 @@ class ArenaFaultSim:
             for chunk in chunks:
                 chunk(values, 1)
             planes.append(values[:])
-            acc_o |= int.from_bytes(bytes(values[0::2]), "little") << window
-            acc_z |= int.from_bytes(bytes(values[1::2]), "little") << window
-            window += 1
-            if window == 8:
-                ever_o |= acc_o
-                ever_z |= acc_z
-                acc_o = acc_z = window = 0
             for k in range(len(dff_q)):
                 i = 2 * dff_d[k]
                 state[dff_q[k]] = (values[i], values[i + 1])
-        ever_o |= acc_o
-        ever_z |= acc_z
         self._good_token += 1
-        self._good = (
-            planes,
-            ever_o.to_bytes(nn + 1, "little"),
-            ever_z.to_bytes(nn + 1, "little"),
-            self._good_token,
-        )
+        self._good = (planes, self._good_token)
         self._good_vectors = vectors
         self._good_istate = initial_state
         self._good_key = key
@@ -472,11 +463,11 @@ class ArenaFaultSim:
             chunks = out
         return chunks
 
-    # -- shared block shape --------------------------------------------------
+    # -- generated block path ------------------------------------------------
 
     def _block_shape(self, blk: Sequence[Fault], cone: Set[int],
                      obs_set: frozenset):
-        """Everything both block executors need about one lane block:
+        """Everything a generated block needs about one lane block:
         injection-site lane masks, the cone's gate rows, flip-flops,
         boundary nets (read by the cone but produced outside it — they
         broadcast the shared good value) and observe points."""
@@ -510,8 +501,6 @@ class ArenaFaultSim:
             site_order=site_order, cone_gis=cone_gis, cone_dks=cone_dks,
             comb_out=comb_out, qs=qs, bound=bound, obs=obs,
         )
-
-    # -- generated block path ------------------------------------------------
 
     def _build_codegen_block(self, blk: Sequence[Fault], cone: Set[int],
                              obs_set: frozenset):
@@ -743,36 +732,88 @@ class ArenaFaultSim:
         cycs, I = setup
         return b["fn"](cycs, b["M"], I, full), full
 
-    # -- interpreted block path ----------------------------------------------
+    # -- divergence-driven block path ----------------------------------------
+
+    def _event_tables(self):
+        """The executor's per-arena tables, built once.
+
+        - ``rows[r] = (op, out, ins, readers)`` per gate row, where
+          ``readers`` are the gate rows reading ``out``;
+        - ``readers[n]``: the gate rows reading net ``n`` (deduplicated,
+          in row order);
+        - ``row_of``: the gate row driving each net, or -1;
+        - ``feeds``: D net -> the flip-flop Q nets it drives.
+
+        Per-row tuples make an event one list lookup instead of three
+        array slices; every tuple shares one int object per net or row.
+        The tables live on the simulator rather than the arena because
+        the pickled arena's store key does not change with this module.
+        """
+        if self._tables is None:
+            arena = self.arena
+            nn = arena.num_nets
+            nets = list(range(nn))
+            gis = list(range(arena.num_gates))
+            fanin, fanin_off = arena.fanin, arena.fanin_off
+            reading: List[List[int]] = [[] for _ in range(nn)]
+            for gi in gis:
+                for i in fanin[fanin_off[gi]:fanin_off[gi + 1]]:
+                    rd = reading[i]
+                    if not rd or rd[-1] != gi:
+                        rd.append(gi)
+            readers = [tuple(rd) for rd in reading]
+            rows = [
+                (arena.gate_op[gi], nets[out],
+                 tuple(nets[i] for i in
+                       fanin[fanin_off[gi]:fanin_off[gi + 1]]),
+                 readers[out])
+                for gi, out in zip(gis, arena.gate_out)
+            ]
+            row_of = array("i", [-1]) * nn
+            for gi, out in enumerate(arena.gate_out):
+                row_of[out] = gi
+            feeds: Dict[int, Tuple[int, ...]] = {}
+            for q, d in zip(arena.dff_q, arena.dff_d):
+                feeds[d] = feeds.get(d, ()) + (nets[q],)
+            self._tables = (rows, readers, row_of, feeds)
+        return self._tables
 
     def _run_lane_block(self, blk: Sequence[Fault],
                         windows: Sequence[Tuple[int, int]], planes,
-                        initial_state: Optional[Mapping[int, int]],
-                        obs_set: frozenset):
-        """One lane block without code generation: the same cone
-        restriction, injection, detection and early exit as the generated
-        path, interpreted over a flat value list.  Used for small or
-        unrepeated workloads (ATPG cross-simulation, SEU grading) where
-        per-survivor-set codegen could never amortize.
+                        role: bytearray):
+        """One lane block, evaluated only where it diverges from the good
+        machine; returns ``(det, present)`` lane masks.
 
         Lane ``li`` forces its fault only during its live window
         ``windows[li] = (first, stop)`` of cycles: every cycle for a
-        stuck-at fault, the flip cycle alone for an SEU.  Before its
-        window a lane equals the good machine, so simulation starts at the
-        block's earliest live cycle with cone flip-flops seeded from the
-        good plane of the cycle before (or ``initial_state`` at cycle 0).
-        Site masks are rebuilt only on cycles where the set of live lanes
-        changes, and only at the sites of the lanes that entered or left —
-        never after the first cycle for stuck-at blocks.
+        stuck-at fault, the flip cycle alone for an SEU.  A net whose
+        value equals its good-plane value broadcast across the lanes
+        (``full`` or 0 per plane) is never stored; readers take the
+        broadcast.  Each cycle starts from the sources of divergence —
+        flip-flops that latched a divergent D, fill-level injection sites
+        (PIs, flip-flop Qs, constants) and the gate rows of live
+        gate-output sites — and evaluates only gate rows that read a
+        divergent net, in row (levelized) order.  A gate whose inputs all
+        carry their good broadcast yields its good broadcast, so the
+        result is bit-identical to evaluating the whole fanout cone.
+        ``role[n]`` flags observe points (1) and D nets (2).
+
+        Before its window a lane equals the good machine, so simulation
+        starts at the block's earliest live cycle with no divergent
+        state.  It stops once every lane has detected, or once no lane is
+        live, no state diverges and no window opens later (an upset that
+        died out ends its block).  Site masks are rebuilt only on cycles
+        where the set of live lanes changes, and only at the sites of the
+        lanes that entered or left.
         """
+        from repro.obs import counter
+
+        rows, readers, row_of, feeds = self._event_tables()
         arena = self.arena
-        cone = arena.cone_of({f.net for f in blk})
-        shape = self._block_shape(blk, cone, obs_set)
-        lanes = shape["lanes"]
-        full = (1 << lanes) - 1
-        fanin, fanin_off = arena.fanin, arena.fanin_off
-        gate_op, gate_out = arena.gate_op, arena.gate_out
-        dff_q, dff_d = arena.dff_q, arena.dff_d
+        full = (1 << len(blk)) - 1
+        site_lanes: Dict[int, List[int]] = {}  # net -> [force-1, force-0]
+        for li, f in enumerate(blk):
+            site_lanes.setdefault(f.net, [0, 0])[f.value != 1] |= 1 << li
 
         # cycle -> lanes entering or leaving their window there.
         ncyc = len(planes)
@@ -781,129 +822,176 @@ class ArenaFaultSim:
             events.setdefault(first, []).append(li)
             if stop < ncyc:
                 events.setdefault(stop, []).append(li)
-        site_lanes = shape["site_lanes"]
+        last_event = max(events)
 
-        prog = []
-        prog_at: Dict[int, int] = {}  # site net -> its gate's prog index
-        for gi in shape["cone_gis"]:
-            out = gate_out[gi]
-            if out in site_lanes:
-                prog_at[out] = len(prog)
-            ins2 = tuple(2 * i for i in
-                         fanin[fanin_off[gi]:fanin_off[gi + 1]])
-            prog.append((gate_op[gi], 2 * out, ins2, None))
-        dffs = [(2 * dff_q[k], 2 * dff_d[k]) for k in shape["cone_dks"]]
-        bound2 = [2 * n for n in shape["bound"]]
-        obs2 = [2 * p for p in shape["obs"]]
-
-        cstart = min(events)
-        v = [0] * (2 * arena.num_nets)
-        state: Dict[int, Mask] = {}
-        if cstart > 0:
-            prev = planes[cstart - 1]
-            for q2, d2 in dffs:
-                state[q2] = (full if prev[d2] else 0,
-                             full if prev[d2 + 1] else 0)
-        else:
-            for q2, _d2 in dffs:
-                if initial_state and q2 // 2 in initial_state:
-                    state[q2] = ((full, 0) if initial_state[q2 // 2]
-                                 else (0, full))
-                else:
-                    state[q2] = (0, 0)
-        det = 0
-        live = 0
-        fill_inj: Dict[int, Optional[Tuple[int, int, int]]] = {}
-        fills = []
-        for cycle in range(cstart, ncyc):
+        # Divergent values per net; None means "the good broadcast".
+        dv: List[Optional[Mask]] = [None] * arena.num_nets
+        queued = bytearray(arena.num_gates)
+        fills: Dict[int, Tuple[int, int, int]] = {}  # net -> masks
+        forced: Dict[int, Tuple[int, int, int]] = {}  # gate row -> masks
+        state: Dict[int, Mask] = {}  # divergent flip-flop Q values
+        det = live = evals = 0
+        for cycle in range(min(events), ncyc):
             toggled = events.get(cycle)
             if toggled is not None:
                 # Live lanes changed: rebuild the injection masks of the
-                # sites they force (fills for sources, inline masks for
+                # sites they force (fills for sources, forced gate rows for
                 # gate outputs).
                 for li in toggled:
                     live ^= 1 << li
-                refill = False
                 for n in {blk[li].net for li in toggled}:
                     m1, m0 = site_lanes[n]
                     m1 &= live
                     m0 &= live
-                    inj = (~(m1 | m0), m1, m0) if (m1 or m0) else None
-                    k = prog_at.get(n)
-                    if k is not None:
-                        prog[k] = prog[k][:3] + (inj,)
+                    r = row_of[n]
+                    table, key = (forced, r) if r >= 0 else (fills, n)
+                    if m1 or m0:
+                        table[key] = (~(m1 | m0), m1, m0)
                     else:
-                        fill_inj[2 * n] = inj
-                        refill = True
-                if refill:
-                    fills = [(i,) + inj for i, inj in fill_inj.items()
-                             if inj is not None]
+                        table.pop(key, None)
+            if not live and not state:
+                if cycle >= last_event:
+                    break
+                continue
             plane = planes[cycle]
-            for i in bound2:
-                v[i] = full if plane[i] else 0
-                v[i + 1] = full if plane[i + 1] else 0
-            for q2, _d2 in dffs:
-                o, z = state[q2]
-                v[q2] = o
-                v[q2 + 1] = z
-            for i, em, m1, m0 in fills:
-                v[i] = (v[i] & em) | m1
-                v[i + 1] = (v[i + 1] & em) | m0
-            for op, o2, ins2, inj in prog:
+
+            # Sources: divergent state, then fill-level injection.
+            touched: List[int] = list(state)
+            for q, val in state.items():
+                dv[q] = val
+            for n, (em, m1, m0) in fills.items():
+                j = n + n
+                go = full if plane[j] else 0
+                gz = full if plane[j + 1] else 0
+                val = dv[n]
+                o, z = (go, gz) if val is None else val
+                o = (o & em) | m1
+                z = (z & em) | m0
+                if o != go or z != gz:
+                    if val is None:
+                        touched.append(n)
+                    dv[n] = (o, z)
+                elif val is not None:
+                    dv[n] = None  # the fault masks a divergent Q
+            for r in forced:
+                queued[r] = 1
+            marked: List[int] = []  # divergent observe points and D nets
+            for n in touched:
+                if dv[n] is not None:
+                    for r in readers[n]:
+                        queued[r] = 1
+                    if role[n]:
+                        marked.append(n)
+
+            # Rows only feed higher rows: one forward scan of the marks
+            # visits every scheduled row once, in row (levelized) order.
+            r = queued.find(1)
+            while r >= 0:
+                queued[r] = 0
+                evals += 1
+                op, out, ins, fanout = rows[r]
                 if op == OP_AND or op == OP_NAND:
                     o, z = full, 0
-                    for i in ins2:
-                        o &= v[i]
-                        z |= v[i + 1]
+                    for i in ins:
+                        val = dv[i]
+                        if val is not None:
+                            o &= val[0]
+                            z |= val[1]
+                        elif not plane[i + i]:
+                            o = 0
+                            if plane[i + i + 1]:  # controlling 0
+                                z = full
+                                break
                     if op == OP_NAND:
                         o, z = z, o
                 elif op == OP_OR or op == OP_NOR:
                     o, z = 0, full
-                    for i in ins2:
-                        o |= v[i]
-                        z &= v[i + 1]
+                    for i in ins:
+                        val = dv[i]
+                        if val is not None:
+                            o |= val[0]
+                            z &= val[1]
+                        elif plane[i + i]:  # controlling 1
+                            o, z = full, 0
+                            break
+                        elif not plane[i + i + 1]:
+                            z = 0
                     if op == OP_NOR:
                         o, z = z, o
-                elif op == OP_NOT:
-                    o = v[ins2[0] + 1]
-                    z = v[ins2[0]]
-                elif op == OP_BUF:
-                    o = v[ins2[0]]
-                    z = v[ins2[0] + 1]
-                else:  # XOR / XNOR n-ary fold
-                    o, z = 0, full
-                    for i in ins2:
-                        io, iz = v[i], v[i + 1]
+                else:  # BUF / NOT, and XOR / XNOR folded from input 0
+                    i = ins[0]
+                    val = dv[i]
+                    if val is None:
+                        o = full if plane[i + i] else 0
+                        z = full if plane[i + i + 1] else 0
+                    else:
+                        o, z = val
+                    for i in ins[1:]:
+                        val = dv[i]
+                        if val is None:
+                            io = full if plane[i + i] else 0
+                            iz = full if plane[i + i + 1] else 0
+                        else:
+                            io, iz = val
                         o, z = (o & iz) | (z & io), (o & io) | (z & iz)
-                    if op == OP_XNOR:
+                    if op == OP_NOT or op == OP_XNOR:
                         o, z = z, o
-                if inj is not None:
-                    em, m1, m0 = inj
+                if r in forced:
+                    em, m1, m0 = forced[r]
                     o = (o & em) | m1
                     z = (z & em) | m0
-                v[o2] = o
-                v[o2 + 1] = z
-            for i in obs2:
-                if plane[i]:
-                    det |= v[i + 1]
-                elif plane[i + 1]:
-                    det |= v[i]
-            state = {q2: (v[d2], v[d2 + 1]) for q2, d2 in dffs}
+                j = out + out
+                if plane[j]:
+                    diverged = o != full or z
+                elif plane[j + 1]:
+                    diverged = o or z != full
+                else:
+                    diverged = o or z
+                if diverged:
+                    dv[out] = (o, z)
+                    touched.append(out)
+                    for r2 in fanout:
+                        queued[r2] = 1
+                    if role[out]:
+                        marked.append(out)
+                r = queued.find(1, r + 1)
+
+            # Detect at divergent observe points, latch divergent D values
+            # and reset the touched nets to their broadcast.
+            nxt: Dict[int, Mask] = {}
+            for n in marked:
+                val = dv[n]
+                if role[n] & 1:
+                    if plane[n + n]:
+                        det |= val[1]
+                    elif plane[n + n + 1]:
+                        det |= val[0]
+                if role[n] & 2:
+                    for q in feeds[n]:
+                        nxt[q] = val
+            for n in touched:
+                dv[n] = None
+            state = nxt
             if det == full:
                 break
+        counter("fault_sim.arena.gate_evals").inc(evals)
         return det, full
 
     def _interp_blocks(self, ordered: Sequence[Fault], window, planes,
-                       initial_state: Optional[Mapping[int, int]],
                        obs_set: frozenset, lanes: int):
-        """Run ``ordered`` in consecutive ``lanes``-wide interpreted blocks;
+        """Run ``ordered`` in consecutive ``lanes``-wide blocks;
         ``window(fault)`` gives each lane's live cycles."""
+        _rows, _readers, _row_of, feeds = self._event_tables()
+        role = bytearray(self.arena.num_nets)
+        for d in feeds:
+            role[d] = 2
+        for p in obs_set:
+            role[p] |= 1
         results = []
         for start in range(0, len(ordered), lanes):
             blk = ordered[start:start + lanes]
             det, present = self._run_lane_block(
-                blk, [window(f) for f in blk], planes, initial_state,
-                obs_set)
+                blk, [window(f) for f in blk], planes, role)
             results.append((blk, det, present))
         return results
 
@@ -956,13 +1044,21 @@ class ArenaFaultSim:
 
         if not faults:
             return set(), 0
-        planes, ever_o, ever_z, token = self._good_pass(vectors,
-                                                        initial_state)
+        planes, token = self._good_pass(vectors, initial_state)
         arena = self.arena
         obs_set = self._observe_set(extra_observables)
 
-        surv = [f for f in faults
-                if (ever_z[f.net] if f.value == 1 else ever_o[f.net])]
+        # A stuck-at-v site must carry binary 1-v in some good cycle: plane
+        # slot 2*net + 1 holds "is 0", slot 2*net "is 1".
+        excitable: Dict[int, bool] = {}
+        surv = []
+        for f in faults:
+            i = 2 * f.net + (f.value == 1)
+            hit = excitable.get(i)
+            if hit is None:
+                hit = excitable[i] = any(plane[i] for plane in planes)
+            if hit:
+                surv.append(f)
         counter("fault_sim.arena.filtered_undetectable").inc(
             len(faults) - len(surv))
         if not surv:
@@ -980,8 +1076,7 @@ class ArenaFaultSim:
             counter("fault_sim.arena.fallback_calls").inc()
             every_cycle = (0, len(planes))
             return self._decode(self._interp_blocks(
-                ordered, lambda f: every_cycle, planes, initial_state,
-                obs_set, lanes))
+                ordered, lambda f: every_cycle, planes, obs_set, lanes))
         if blocks is None:
             counter("fault_sim.arena.codegen_builds").inc()
             parts = self._partition(ordered, base=max(lanes, 64))
@@ -1021,17 +1116,16 @@ class ArenaFaultSim:
         way no binary-vs-binary difference can ever reach an observe
         point, by the same monotonicity argument as the stuck-at filter,
         so only sites whose good value is binary ``1-v`` at the flip
-        cycle survive) and as the boundary broadcast inside each lane
-        block.  Survivors are sorted flip-cycle first, so each block
-        starts late and its live lanes change on few cycles.
+        cycle survive) and as the broadcast value of every net a lane
+        block does not disturb.  Survivors are sorted flip-cycle first, so
+        each block starts late and its live lanes change on few cycles.
         Bit-identical to the interpreted oracle.
         """
         from repro.obs import counter
 
         if not faults:
             return set(), 0
-        planes, _ever_o, _ever_z, _token = self._good_pass(vectors,
-                                                           initial_state)
+        planes, _token = self._good_pass(vectors, initial_state)
         arena = self.arena
         obs_set = self._observe_set(extra_observables)
 
@@ -1057,8 +1151,8 @@ class ArenaFaultSim:
                            f.net, f.value),
         )
         return self._decode(self._interp_blocks(
-            ordered, lambda f: (f.cycle, f.cycle + 1), planes,
-            initial_state, obs_set, lanes))
+            ordered, lambda f: (f.cycle, f.cycle + 1), planes, obs_set,
+            lanes))
 
 
 _SIMS: "WeakKeyDictionary[NetlistArena, ArenaFaultSim]" = WeakKeyDictionary()

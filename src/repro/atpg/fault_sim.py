@@ -241,6 +241,10 @@ class FaultSimulator:
             values: Dict[int, Tuple[int, int]] = {
                 CONST0: (0, full), CONST1: (full, 0)
             }
+            if has_injection:
+                # A fault on a tie-off net forces it like any other source.
+                for net in (CONST0, CONST1):
+                    values[net] = inject(net, *values[net])
             for pi in self.netlist.pis:
                 bit = vec.get(pi)
                 if bit is None:
@@ -395,6 +399,10 @@ class FaultSimulator:
             values: Dict[int, Tuple[int, int]] = {
                 CONST0: (0, full), CONST1: (full, 0)
             }
+            if has_injection:
+                # A fault on a tie-off net forces it like any other source.
+                for net in (CONST0, CONST1):
+                    values[net] = inject(net, *values[net])
             for pi in self.netlist.pis:
                 bit = vec.get(pi)
                 if bit is None:

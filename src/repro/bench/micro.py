@@ -41,7 +41,8 @@ from repro.atpg.faults import Fault, build_fault_list
 from repro.bench.experiments import resolve_jobs
 from repro.core.report import format_table
 from repro.designs.arm2 import arm2_design
-from repro.obs import RunRecord, atomic_write_text, get_logger, span
+from repro.obs import (RunRecord, atomic_write_text, get_logger,
+                       get_registry, span)
 from repro.store import synthesize_cached
 from repro.synth.netlist import Netlist
 
@@ -540,6 +541,8 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
     }
     for key in selected:
         title, build = catalogue[key]
+        # Each payload's record holds its own suite's metrics only.
+        get_registry().reset()
         rows = build()
         # Union of keys across rows (first-seen order): suites may mix row
         # shapes, e.g. the atpg suite's backend rows and parallel rows.

@@ -77,6 +77,9 @@ class ProgressReporter:
         self._last_phase: Optional[str] = None
         self._last_emit = float("-inf")
         self._pid = os.getpid()
+        #: The most recent progress payload emitted, so a caller can hand
+        #: it over together with the result (its channel may lag).
+        self.last_progress: Optional[Dict[str, Any]] = None
 
     def emit(self, phase: str, force: bool = False, **fields: Any) -> None:
         if os.getpid() != self._pid:
@@ -95,6 +98,7 @@ class ProgressReporter:
             "t": round(epoch_seconds(now), 6),
         }
         payload.update(fields)
+        self.last_progress = payload
         self.send(payload)
 
     def send(self, payload: Dict[str, Any]) -> None:

@@ -304,6 +304,21 @@ class JobServer:
                     "worker progress events received").inc()
         self._publish_event(job, payload)
 
+    def _catch_up_progress(self, job: Job, payload: Any) -> None:
+        """Apply the worker's last progress event before the job ends.
+
+        Completion arrives through the pool future and progress through
+        the queue reader thread, so the last events can still be in the
+        queue when the outcome lands, and ``_on_progress`` drops events
+        for finished jobs.  The outcome carries the last payload; apply
+        it unless the queue already delivered it.
+        """
+        if not isinstance(payload, dict):
+            return
+        seen = job.progress.get("seq", 0) if job.progress else 0
+        if payload.get("seq", 0) > seen:
+            self._on_progress(job.job_id, payload)
+
     def _publish_event(self, job: Job, payload: Dict[str, Any]) -> None:
         job.append_event(payload)
         signal_ = self._event_signals.get(job.job_id)
@@ -364,16 +379,20 @@ class JobServer:
             if outcome["metrics"]:
                 get_registry().merge_snapshot(outcome["metrics"])
             spans = outcome.get("spans") or []
+            progress = outcome.get("progress")
             if outcome["ok"]:
                 self._finish(job, ok=True, result=outcome["result"],
-                             wall_s=outcome["wall_s"], spans=spans)
+                             wall_s=outcome["wall_s"], spans=spans,
+                             progress=progress)
             else:
                 self._finish(job, ok=False, error=outcome["error"],
-                             spans=spans)
+                             spans=spans, progress=progress)
 
     def _finish(self, job: Job, ok: bool, result=None, error=None,
                 wall_s: Optional[float] = None,
-                spans: Optional[List[Dict[str, Any]]] = None) -> None:
+                spans: Optional[List[Dict[str, Any]]] = None,
+                progress: Optional[Dict[str, Any]] = None) -> None:
+        self._catch_up_progress(job, progress)
         job.finished_at = wall_clock()
         if ok:
             job.status = DONE

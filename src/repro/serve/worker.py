@@ -5,8 +5,10 @@
 requested pipeline operation, and returns a picklable outcome dict —
 success or failure, a JSON-able result body, the job's CPU/wall seconds,
 a metrics-registry snapshot for the parent to fold back in (worker
-processes have their own process-wide registry), and the worker's span
-tree so the server can stitch one cross-process trace per job.
+processes have their own process-wide registry), the worker's span
+tree so the server can stitch one cross-process trace per job, and the
+job's last progress payload (the queue that streams progress may still
+be delivering it when the result arrives).
 
 Telemetry crosses the fork boundary in both directions: the spec's
 ``trace`` field carries the server's submit-span context in (worker spans
@@ -82,6 +84,7 @@ def execute_job(spec_dict: Dict[str, Any],
             "cpu_s": sp.cpu_seconds,
             "metrics": get_registry().snapshot() if fresh_registry else {},
             "spans": [root.to_dict()],
+            "progress": reporter.last_progress if reporter else None,
         }
     except Exception as exc:
         return {
@@ -93,6 +96,7 @@ def execute_job(spec_dict: Dict[str, Any],
             "cpu_s": 0.0,
             "metrics": get_registry().snapshot() if fresh_registry else {},
             "spans": [root.to_dict()] if root is not None else [],
+            "progress": reporter.last_progress if reporter else None,
         }
     finally:
         if reporter is not None:

@@ -83,3 +83,17 @@ def test_cli_bench_quick_writes_payloads(tmp_path, capsys):
         assert all(row["match"] for row in payload["rows"])
         assert payload["record"]["label"] == f"bench.{key}"
         assert "metrics" in payload["record"]
+
+
+def test_bench_records_do_not_leak_across_suites(tmp_path):
+    out = tmp_path / "results"
+    code = main(["bench", "--quick", "--jobs", "1", "--seed", "9",
+                 "--suite", "atpg", "--suite", "fault_sim",
+                 "--out", str(out)])
+    assert code == 0
+    first = json.loads((out / "BENCH_atpg.json").read_text())
+    second = json.loads((out / "BENCH_fault_sim.json").read_text())
+    atpg_only = {name for name in first["record"]["metrics"]
+                 if name.startswith("atpg.")}
+    assert atpg_only
+    assert not atpg_only & set(second["record"]["metrics"])

@@ -159,6 +159,30 @@ class TestEventStream:
         assert done["progress"]["phase"] == "atpg.done"
         assert done["trace_path"]
 
+    def test_last_progress_arrives_with_the_result(self, fresh_store,
+                                                   monkeypatch):
+        """Completion and progress travel on different channels: with a
+        progress queue that never delivers, the terminal job view and the
+        event log still end on the worker's last phase."""
+        def swallow(self):
+            while self._progress_queue.get() is not None:
+                pass
+
+        monkeypatch.setattr(server_mod.JobServer, "_drain_progress_queue",
+                            swallow)
+        thread, client = start_server(fresh_store)
+        try:
+            job = client.submit(atpg_spec())["job"]
+            done = client.wait(job["id"], timeout=60)
+            events = list(client.events(job["id"]))
+        finally:
+            thread.stop()
+        assert done["status"] == "done"
+        assert done["progress"]["phase"] == "atpg.done"
+        kinds = [e["event"] for e in events]
+        assert kinds == ["submitted", "started", "progress", "done"]
+        assert events[2]["phase"] == "atpg.done"
+
 
 class TestNdjsonFraming:
     def _raw(self, client, request: bytes) -> bytes:
@@ -429,3 +453,7 @@ class TestGauges:
                        for line in text.splitlines()
                        if line and not line.startswith("#")), name
         assert client is not None
+        # The fault simulator's work counter reaches /metrics too.
+        evals = [line.split()[1] for line in text.splitlines()
+                 if line.startswith("fault_sim_arena_gate_evals_total ")]
+        assert evals and float(evals[0]) > 0
